@@ -117,13 +117,15 @@ class Evaluator::BaseCache {
   /// broken toward the most recently used entry), or nullopt. Returns a COPY
   /// of the donor's key alongside the record — the entry may be evicted the
   /// moment the lock drops. Never counts a hit or miss: donor probes always
-  /// follow a failed find(), which already counted the miss.
+  /// follow a failed find(), which already counted the miss. Serving as a
+  /// donor counts as a use, so the incumbent every probe patches from stays
+  /// resident instead of aging out behind its own probes.
   std::optional<std::pair<WeightSetting, std::shared_ptr<const IncrementalBase>>>
   find_donor(const WeightSetting& w, std::size_t max_links) {
     const std::lock_guard<std::mutex> lock(mu_);
-    const Entry* best = nullptr;
+    Entry* best = nullptr;
     std::size_t best_diff = max_links + 1;
-    for (const Entry& e : entries_) {
+    for (Entry& e : entries_) {
       if (e.key.num_links() != w.num_links()) continue;
       const std::size_t diff = differing_links(e.key, w);
       if (diff == 0 || diff > max_links) continue;
@@ -133,6 +135,7 @@ class Evaluator::BaseCache {
       }
     }
     if (best == nullptr) return std::nullopt;
+    best->last_used = ++tick_;
     return std::make_pair(best->key, best->base);
   }
 
