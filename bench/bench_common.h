@@ -10,7 +10,6 @@
 ///   --workers N        cell-level shards (default 0 = hardware concurrency)
 ///   --inner-threads N  per-cell engine threads when cells run sequentially
 ///   --no-incremental   disable the delta-SPF failure-evaluation fast path
-///   --no-base-cache    disable the weights-keyed base-routing cache
 ///   --no-delay-dp      disable the incremental end-to-end delay DP
 ///
 /// The JSON artifact is byte-identical for any --workers/--inner-threads
@@ -63,13 +62,11 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
     else if (arg == "--workers") args.workers = next_count();
     else if (arg == "--inner-threads") args.inner_threads = next_count();
     else if (arg == "--no-incremental") args.eval_config.incremental = false;
-    else if (arg == "--no-base-cache") args.eval_config.base_routing_cache = false;
     else if (arg == "--no-delay-dp") args.eval_config.incremental_delay = false;
     else {
       std::cerr << argv[0] << ": unknown flag " << arg
                 << " (flags: --json PATH, --filter SUBSTR, --list, --workers N, "
-                   "--inner-threads N, --no-incremental, --no-base-cache, "
-                   "--no-delay-dp)\n";
+                   "--inner-threads N, --no-incremental, --no-delay-dp)\n";
       std::exit(2);
     }
   }

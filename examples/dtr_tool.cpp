@@ -23,7 +23,7 @@
 ///            [--events-out FILE] [--trace-events FILE] [--metrics-port N]
 ///   dtr_tool campaign --spec FILE [--json FILE] [--workers N]
 ///            [--inner-threads N] [--filter SUBSTR] [--list] [--timings]
-///            [--no-incremental] [--no-base-cache] [--no-delay-dp]
+///            [--no-incremental] [--no-delay-dp]
 ///            [--telemetry-json FILE] [--trace-out FILE]
 ///            [--events-out FILE] [--metrics-port N]
 ///   dtr_tool scenarios --set all_links|all_nodes|k_link|srlg_file|geo_srlg
@@ -421,7 +421,6 @@ int run_campaign_command(int argc, char** argv) {
     else if (arg == "--list") list = true;
     else if (arg == "--timings") timings = true;
     else if (arg == "--no-incremental") eval_config.incremental = false;
-    else if (arg == "--no-base-cache") eval_config.base_routing_cache = false;
     else if (arg == "--no-delay-dp") eval_config.incremental_delay = false;
     else if (arg == "--telemetry-json") telemetry_json = next();
     else if (arg == "--trace-out") trace_out = next();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -157,6 +158,10 @@ long top_up_criticality_samples(const Evaluator& evaluator,
   };
   std::vector<PendingSample> pending;
   std::vector<EvalJob> jobs;
+  // Exact mode holds one probe per entry for the whole top-up, acquired on
+  // first use: every batch's failure samples of that setting patch from the
+  // same base.
+  std::vector<std::optional<EvalProbe>> probes(entries.size());
 
   while (!collector.converged() && generated < budget) {
     const std::vector<LinkId> order = collector.links_by_sample_need();
@@ -174,15 +179,17 @@ long top_up_criticality_samples(const Evaluator& evaluator,
       jobs.clear();
       for (std::size_t i = 0; i < batch; ++i) {
         const LinkId link = order[pos + i];
-        const AcceptableStore::Entry& entry = *entries[rng.uniform_index(entries.size())];
+        const std::size_t e = rng.uniform_index(entries.size());
+        const AcceptableStore::Entry& entry = *entries[e];
         if (mode == SamplingMode::kEmulatedWeights) {
           WeightSetting w = entry.setting;
           w.set(TrafficClass::kDelay, link, rng.uniform_int(floor, wmax));
           w.set(TrafficClass::kThroughput, link, rng.uniform_int(floor, wmax));
           pending.push_back({link, std::move(w)});
         } else {
+          if (!probes[e]) probes[e] = evaluator.probe(entry.setting);
           pending.push_back({link, WeightSetting()});
-          jobs.push_back({&entry.setting, FailureScenario::link(link)});
+          jobs.push_back({&entry.setting, FailureScenario::link(link), &*probes[e]});
         }
       }
       if (mode == SamplingMode::kEmulatedWeights) {
@@ -220,6 +227,7 @@ ScenarioCriticality estimate_scenario_criticality(
   std::vector<LinkId> order;
   std::vector<std::size_t> batch_index;
   std::vector<EvalJob> jobs;
+  std::vector<std::optional<EvalProbe>> probes(entries.size());  // as in the top-up
   while (!collector.converged() && generated < budget) {
     order = collector.links_by_sample_need();
     std::size_t pos = 0;
@@ -235,9 +243,11 @@ ScenarioCriticality estimate_scenario_criticality(
       jobs.clear();
       for (std::size_t i = 0; i < batch; ++i) {
         const std::size_t index = order[pos + i];
-        const AcceptableStore::Entry& entry = *entries[rng.uniform_index(entries.size())];
+        const std::size_t e = rng.uniform_index(entries.size());
+        const AcceptableStore::Entry& entry = *entries[e];
+        if (!probes[e]) probes[e] = evaluator.probe(entry.setting);
         batch_index.push_back(index);
-        jobs.push_back({&entry.setting, scenarios[index]});
+        jobs.push_back({&entry.setting, scenarios[index], &*probes[e]});
       }
       const std::vector<CostPair> costs = evaluator.evaluate_costs(jobs, pool);
       for (std::size_t i = 0; i < batch; ++i) {

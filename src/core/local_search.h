@@ -42,6 +42,13 @@ class SearchObjective {
   /// sums satisfy this since per-scenario costs are non-negative).
   virtual std::optional<CostPair> evaluate(const WeightSetting& w,
                                            const CostPair* incumbent) = 0;
+
+  /// Called on the search's thread whenever `w` becomes the current setting:
+  /// the initial setting, an accepted probe, a restart adoption, or the
+  /// fallback to the best setting. Every later probe differs from `w` on one
+  /// link, so evaluator-backed objectives promote it to the evaluator's
+  /// anchor (Evaluator::promote).
+  virtual void adopt(const WeightSetting& w) { (void)w; }
 };
 
 /// Everything an observer learns about one perturbation probe. Drives the
@@ -58,7 +65,8 @@ struct PerturbationEvent {
   /// Observers may evaluate it under other scenarios; note that for the
   /// failure of `link` itself the perturbed weights are immaterial (dead arcs
   /// have no cost), so evaluating the candidate equals evaluating the
-  /// pre-perturbation setting.
+  /// pre-perturbation setting — the evaluator patches such a sample straight
+  /// from its anchor (see Evaluator::evaluate).
   const WeightSetting* candidate = nullptr;
 };
 
@@ -92,11 +100,11 @@ class LocalSearch {
     /// RNG stream are bit-identical to the sequential search for any worker
     /// count — accepts are rare in descent, so most speculation pays off.
     /// Requires `objective.evaluate` to be safe to call concurrently
-    /// (observers and accept hooks still run on the calling thread, in
-    /// order). Evaluator-backed objectives satisfy this: its evaluation
-    /// entry points are const and its base-routing cache is internally
-    /// synchronized, so speculative probes may populate the cache from any
-    /// worker. nullptr = sequential.
+    /// (observers, accept hooks and SearchObjective::adopt still run on the
+    /// calling thread, in order). Evaluator-backed objectives satisfy this:
+    /// its evaluation entry points are const and its anchor state is
+    /// internally synchronized, so speculative probes patch from the anchor
+    /// into their own buffers on any worker. nullptr = sequential.
     ThreadPool* pool = nullptr;
   };
 

@@ -32,6 +32,8 @@ class NormalObjective final : public SearchObjective {
     return evaluator_.evaluate(w).cost();
   }
 
+  void adopt(const WeightSetting& w) override { evaluator_.promote(w); }
+
  private:
   const Evaluator& evaluator_;
 };
@@ -53,11 +55,14 @@ class Phase2Objective : public SearchObjective {
 
   long scenario_evaluations() const { return scenario_evaluations_; }
 
+  void adopt(const WeightSetting& w) override { evaluator_.promote(w); }
+
  protected:
   /// Constraint gate: Eq. (5) pins Lambda_normal to Lambda*, Eq. (6) bounds
-  /// Phi_normal by (1+chi) * Phi*.
-  bool normal_feasible(const WeightSetting& w) const {
-    const CostPair normal = evaluator_.evaluate(w).cost();
+  /// Phi_normal by (1+chi) * Phi*. The candidate's probe is patched once
+  /// here and reused by the objective's failure sweep.
+  bool normal_feasible(const EvalProbe& probe) const {
+    const CostPair normal = probe.cost();
     const LexicographicOrder order;
     if (!order.values_equal(normal.lambda, star_.lambda)) return false;  // Eq. (5)
     if (normal.phi > (1.0 + chi_) * star_.phi + order.abs_tol()) return false;  // Eq. (6)
@@ -82,12 +87,13 @@ class ExpectedCostObjective final : public Phase2Objective {
 
   std::optional<CostPair> evaluate(const WeightSetting& w,
                                    const CostPair* incumbent) override {
-    if (!normal_feasible(w)) return std::nullopt;
+    const EvalProbe probe = evaluator_.probe(w);
+    if (!normal_feasible(probe)) return std::nullopt;
     SweepOptions options;
     options.abort_bound = incumbent;
     options.scenario_weights = scenario_weights_;
     options.pool = pool_;
-    const SweepResult sweep = evaluator_.sweep(w, scenarios_, options);
+    const SweepResult sweep = evaluator_.sweep(probe, scenarios_, options);
     scenario_evaluations_ += static_cast<long>(sweep.scenarios_evaluated);
     return sweep.cost();
   }
@@ -107,9 +113,10 @@ class PercentileObjective final : public Phase2Objective {
         percentile_(percentile) {}
 
   std::optional<CostPair> evaluate(const WeightSetting& w, const CostPair*) override {
-    if (!normal_feasible(w)) return std::nullopt;
+    const EvalProbe probe = evaluator_.probe(w);
+    if (!normal_feasible(probe)) return std::nullopt;
     const std::vector<EvalResult> results =
-        evaluator_.evaluate_failures(w, scenarios_, pool_);
+        evaluator_.evaluate_failures(probe, scenarios_, pool_);
     scenario_evaluations_ += static_cast<long>(results.size());
     lambda_.clear();
     phi_.clear();
@@ -150,7 +157,8 @@ class DowntimeObjective final : public Phase2Objective {
 
   std::optional<CostPair> evaluate(const WeightSetting& w,
                                    const CostPair* incumbent) override {
-    if (!normal_feasible(w)) return std::nullopt;
+    const EvalProbe probe = evaluator_.probe(w);
+    if (!normal_feasible(probe)) return std::nullopt;
     SweepOptions options;
     options.scenario_weights = scenario_weights_;
     options.pool = pool_;
@@ -163,7 +171,7 @@ class DowntimeObjective final : public Phase2Objective {
                        incumbent->phi};
       options.abort_bound = &bound;
     }
-    const SweepResult sweep = evaluator_.sweep(w, scenarios_, options);
+    const SweepResult sweep = evaluator_.sweep(probe, scenarios_, options);
     scenario_evaluations_ += static_cast<long>(sweep.scenarios_evaluated);
     // On abort, return the incumbent itself: partial violation mass already
     // exceeds the translated bound, but converting it back through the
@@ -343,8 +351,9 @@ OptimizeResult RobustOptimizer::optimize() {
       !catalog_mode && (config_.selector == SelectorKind::kDistributionGap ||
                         config_.selector == SelectorKind::kThresholdCrossing);
 
-  // Phase 1a probes score under NormalObjective, which is stateless and
-  // therefore safe for LocalSearch's speculative parallel scoring.
+  // Phase 1a probes score under NormalObjective, which is stateless (the
+  // evaluator's anchor is internally synchronized) and therefore safe for
+  // LocalSearch's speculative parallel scoring.
   LocalSearch phase1_search({config_.phase1, config_.wmax, rng.split().seed(), pool.get()});
   if (selector_needs_samples) {
     if (config_.sampling_mode == SamplingMode::kEmulatedWeights) {
@@ -355,8 +364,9 @@ OptimizeResult RobustOptimizer::optimize() {
     } else {
       // Exact mode: the in-window perturbation only triggers sampling; the
       // recorded cost evaluates the TRUE failure of the link (the perturbed
-      // weights are immaterial once its arcs are masked out), one extra
-      // evaluation per trigger (~q-window hit rate of probes).
+      // weights are immaterial once its arcs are masked out, so the sample
+      // patches from the incumbent's anchor), one extra evaluation per
+      // trigger (~q-window hit rate of probes).
       phase1_search.set_observer([this, &collector](const PerturbationEvent& e) {
         if (!collector.should_sample(e)) return;
         collector.add_sample(
@@ -672,10 +682,8 @@ OptimizeResult RobustOptimizer::optimize() {
       .add(cache_after.hits - cache_before.hits);
   run_reg.counter("evaluator.base_cache.misses", telemetry::Plane::kProcess)
       .add(cache_after.misses - cache_before.misses);
-  run_reg.counter("evaluator.base_cache.insertions", telemetry::Plane::kProcess)
-      .add(cache_after.insertions - cache_before.insertions);
-  run_reg.counter("evaluator.base_cache.evictions", telemetry::Plane::kProcess)
-      .add(cache_after.evictions - cache_before.evictions);
+  run_reg.counter("evaluator.base_cache.promotions", telemetry::Plane::kProcess)
+      .add(cache_after.promotions - cache_before.promotions);
 
   result.counters = run_reg.snapshot(telemetry::Plane::kDeterministic);
   result.process_counters = run_reg.snapshot(telemetry::Plane::kProcess);

@@ -152,12 +152,12 @@ struct OptimizeResult {
   /// regardless of OptimizerConfig::telemetry or the global enable switch:
   /// `counters` holds the deterministic optimizer.* counters (byte-identical
   /// across thread shapes), `process_counters` the shape-dependent
-  /// base-routing-cache activity DIFF over the run (all zero when the cache
-  /// is disabled).
+  /// evaluator-anchor activity DIFF over the run (all zero when the
+  /// evaluator is not incremental).
   telemetry::Snapshot counters;
   telemetry::Snapshot process_counters;
 
-  /// Base-cache activity during this run — compatibility accessors over
+  /// Anchor activity during this run — compatibility accessors over
   /// `process_counters` (the former manually-maintained fields).
   std::uint64_t base_cache_hits() const {
     return process_counters.counter("evaluator.base_cache.hits");

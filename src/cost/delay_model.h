@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/heap_bytes.h"
 
 namespace dtr {
 
@@ -59,6 +60,11 @@ class DelayDpIndex {
   void finalize();
 
   bool ready() const { return !offset_.empty(); }
+
+  std::size_t memory_bytes() const {
+    return heap_bytes(pair_arc_) + heap_bytes(pair_dest_) + heap_bytes(offset_) +
+           heap_bytes(user_);
+  }
 
   /// Destinations whose DP reads arc a's delay (ascending order).
   std::span<const NodeId> users(ArcId a) const {

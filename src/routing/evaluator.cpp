@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "cost/fortz.h"
 #include "graph/spf.h"
 #include "telemetry/telemetry.h"
+#include "util/heap_bytes.h"
 #include "util/thread_pool.h"
 
 namespace dtr {
@@ -20,158 +21,67 @@ void EvalStats::merge(const EvalStats& o) {
   patch.merge(o.patch);
 }
 
-struct Evaluator::IncrementalBase {
+/// One weight setting's no-failure base: both class routings, their replay
+/// records and delay-DP index (once has_records), and the no-failure
+/// products. `sd_delay` holds the POST-aggregation values (disconnected
+/// pairs capped at the disconnect charge), so a replayed column matches what
+/// the full path's aggregation would leave in place bit for bit.
+struct EvalBase {
+  WeightSetting key;
+  /// key's arc costs: the "old" costs of a weight-delta patch from this base.
+  std::vector<double> cost_delay;
+  std::vector<double> cost_tput;
   ClassRouting delay;
   ClassRouting tput;
-
-  /// Patch-only machinery, lazily materialized (ensure_patch_records) on the
-  /// first call that patches a failure from this record: Phase-1 probes
-  /// build bases that are usually evicted unused, so they skip the recording
-  /// cost. `records_once` guards the upgrade — cached bases are shared
-  /// across speculative-evaluation threads; readers either ran the call_once
-  /// themselves or the flags were set before the base was published, so the
-  /// plain bools need no atomics.
-  mutable std::once_flag records_once;
-  mutable bool has_records = false;
-  mutable bool has_dp_index = false;
-  mutable RoutingBaseRecord delay_record;
-  mutable RoutingBaseRecord tput_record;
-  mutable DelayDpIndex dp_index;
-
-  /// No-failure products, filled when with_delay_base (see build_base):
-  /// `sd_delay` holds the POST-aggregation values (disconnected pairs capped
-  /// at the disconnect charge), so a replayed column matches what the full
-  /// path's aggregation would leave in place bit for bit.
-  bool has_delay_base = false;
+  bool has_records = false;
+  RoutingBaseRecord delay_record;
+  RoutingBaseRecord tput_record;
+  DelayDpIndex dp_index;  ///< recorded with the records when incremental_delay
   std::vector<double> total_load;
   std::vector<double> arc_delay;
   std::vector<double> sd_delay;
   EvalResult none_result;  ///< costs-only fields of the no-failure evaluation
+
+  std::size_t bytes() const {
+    return sizeof(EvalBase) + key.num_links() * kNumClasses * sizeof(int) +
+           heap_bytes(cost_delay) + heap_bytes(cost_tput) + delay.memory_bytes() +
+           tput.memory_bytes() + delay_record.memory_bytes() +
+           tput_record.memory_bytes() + dp_index.memory_bytes() +
+           heap_bytes(total_load) + heap_bytes(arc_delay) + heap_bytes(sd_delay);
+  }
 };
 
-namespace {
+struct Evaluator::AnchorState {
+  std::mutex mu;
+  std::shared_ptr<EvalBase> anchor;  ///< always carries its replay records
+  /// Idle probe buffers, most recently released last. Each keeps its last
+  /// probe's base, so promote() can adopt an accepted probe without
+  /// re-patching it.
+  std::vector<std::shared_ptr<EvalBase>> idle;
+  EvaluatorCacheStats stats;
 
-/// Number of links on which two same-sized weight settings differ in EITHER
-/// class — the donor-distance metric of the weight-delta patch path.
-std::size_t differing_links(const WeightSetting& a, const WeightSetting& b) {
-  std::size_t diff = 0;
-  for (LinkId l = 0; l < a.num_links(); ++l) {
-    for (TrafficClass c : kBothClasses) {
-      if (a.get(c, l) != b.get(c, l)) {
-        ++diff;
-        break;
-      }
-    }
-  }
-  return diff;
-}
-
-}  // namespace
-
-/// Weights-keyed LRU cache of base records. A handful of entries scanned
-/// linearly under a mutex: lookups happen once per evaluation (not per
-/// scenario), and the key compare on vector<int> fails fast, so contention
-/// and scan cost are noise next to a single Dijkstra.
-class Evaluator::BaseCache {
- public:
-  explicit BaseCache(std::size_t capacity)
-      : capacity_(std::max<std::size_t>(1, capacity)) {}
-
-  std::shared_ptr<const IncrementalBase> find(const WeightSetting& w) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (Entry& e : entries_) {
-      if (e.key == w) {
-        e.last_used = ++tick_;
-        ++stats_.hits;
-        return e.base;
-      }
-    }
-    ++stats_.misses;
-    return nullptr;
+  /// Enough idle buffers for one speculative batch per hardware thread.
+  static std::size_t max_idle() {
+    static const std::size_t n = std::max(2u, std::thread::hardware_concurrency());
+    return n;
   }
 
-  void insert(const WeightSetting& w, std::shared_ptr<const IncrementalBase> base) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (Entry& e : entries_) {
-      if (e.key == w) {
-        // Another thread built the same base concurrently; both are pure
-        // functions of w, so either copy serves identically.
-        e.base = std::move(base);
-        e.last_used = ++tick_;
-        return;
-      }
-    }
-    ++stats_.insertions;
-    if (entries_.size() >= capacity_) {
-      auto victim = std::min_element(
-          entries_.begin(), entries_.end(),
-          [](const Entry& a, const Entry& b) { return a.last_used < b.last_used; });
-      ++stats_.evictions;
-      *victim = Entry{w, std::move(base), ++tick_};
-    } else {
-      entries_.push_back(Entry{w, std::move(base), ++tick_});
-    }
+  // The helpers below run with `mu` held. A shared_ptr nobody else holds
+  // cannot gain holders without `mu`, so use_count() == 1 is stable here.
+  std::shared_ptr<EvalBase> take_idle() {
+    if (idle.empty()) return std::make_shared<EvalBase>();
+    std::shared_ptr<EvalBase> b = std::move(idle.back());
+    idle.pop_back();
+    return b;
   }
-
-  /// Closest cached base within `max_links` differing links of `w` (ties
-  /// broken toward the most recently used entry), or nullopt. Returns a COPY
-  /// of the donor's key alongside the record — the entry may be evicted the
-  /// moment the lock drops. Never counts a hit or miss: donor probes always
-  /// follow a failed find(), which already counted the miss. Serving as a
-  /// donor counts as a use, so the incumbent every probe patches from stays
-  /// resident instead of aging out behind its own probes.
-  std::optional<std::pair<WeightSetting, std::shared_ptr<const IncrementalBase>>>
-  find_donor(const WeightSetting& w, std::size_t max_links) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    Entry* best = nullptr;
-    std::size_t best_diff = max_links + 1;
-    for (Entry& e : entries_) {
-      if (e.key.num_links() != w.num_links()) continue;
-      const std::size_t diff = differing_links(e.key, w);
-      if (diff == 0 || diff > max_links) continue;
-      if (diff < best_diff || (diff == best_diff && e.last_used > best->last_used)) {
-        best = &e;
-        best_diff = diff;
-      }
-    }
-    if (best == nullptr) return std::nullopt;
-    best->last_used = ++tick_;
-    return std::make_pair(best->key, best->base);
+  void park(std::shared_ptr<EvalBase> b) {
+    if (b.use_count() == 1 && idle.size() < max_idle()) idle.push_back(std::move(b));
   }
-
-  void note_weight_patch(std::uint64_t arcs) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.weight_patched;
-    stats_.arcs_updated += arcs;
+  void install(std::shared_ptr<EvalBase> b) {
+    if (anchor != nullptr) park(std::move(anchor));
+    anchor = std::move(b);
+    ++stats.promotions;
   }
-
-  void clear() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    entries_.clear();
-  }
-
-  EvaluatorCacheStats stats() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-
-  std::size_t size() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
-  }
-
- private:
-  struct Entry {
-    WeightSetting key;
-    std::shared_ptr<const IncrementalBase> base;
-    std::uint64_t last_used = 0;
-  };
-
-  mutable std::mutex mu_;
-  const std::size_t capacity_;
-  std::vector<Entry> entries_;
-  std::uint64_t tick_ = 0;
-  EvaluatorCacheStats stats_;
 };
 
 namespace {
@@ -199,6 +109,22 @@ bool incremental_patchable(const FailureScenario& s) {
   }
 }
 
+/// True when `a` and `b` assign equal weights to every link `s` leaves
+/// alive (for kNone: equal by value).
+bool same_on_alive_links(const WeightSetting& a, const WeightSetting& b,
+                         const FailureScenario& s) {
+  if (a.num_links() != b.num_links()) return false;
+  for (LinkId l = 0; l < a.num_links(); ++l) {
+    if (a.get(TrafficClass::kDelay, l) == b.get(TrafficClass::kDelay, l) &&
+        a.get(TrafficClass::kThroughput, l) == b.get(TrafficClass::kThroughput, l))
+      continue;
+    bool failed = false;
+    for_each_failed_element(s, [&](LinkId f) { failed = failed || f == l; }, [](NodeId) {});
+    if (!failed) return false;
+  }
+  return true;
+}
+
 /// Folds one batch call's merged deterministic stats into the registry. The
 /// caller merged per-slot stats in index order on its own thread, so the
 /// values (and therefore the registered names) are shape-independent.
@@ -221,6 +147,27 @@ void publish_eval_stats(telemetry::Registry& reg, const EvalStats& agg) {
 
 }  // namespace
 
+EvalProbe::EvalProbe(EvalProbe&& other) noexcept
+    : owner_(other.owner_),
+      weights_(other.weights_),
+      base_(std::move(other.base_)),
+      cost_(other.cost_) {}
+
+EvalProbe& EvalProbe::operator=(EvalProbe&& other) noexcept {
+  if (this != &other) {
+    if (base_ != nullptr) owner_->release(std::move(base_));
+    owner_ = other.owner_;
+    weights_ = other.weights_;
+    base_ = std::move(other.base_);
+    cost_ = other.cost_;
+  }
+  return *this;
+}
+
+EvalProbe::~EvalProbe() {
+  if (base_ != nullptr) owner_->release(std::move(base_));
+}
+
 Evaluator::Evaluator(const Graph& g, const ClassedTraffic& traffic, EvalParams params,
                      EvaluatorConfig config)
     : graph_(g), traffic_(traffic), params_(params), config_(config) {
@@ -241,40 +188,43 @@ Evaluator::Evaluator(const Graph& g, const ClassedTraffic& traffic, EvalParams p
   }
   delay_pairs_ = traffic_.delay.num_positive_demands();
 
-  if (config_.incremental && config_.base_routing_cache)
-    cache_ = std::make_unique<BaseCache>(config_.base_cache_capacity);
+  if (config_.incremental) state_ = std::make_unique<AnchorState>();
 }
 
 Evaluator::~Evaluator() = default;
 
 EvaluatorCacheStats Evaluator::base_cache_stats() const {
-  return cache_ != nullptr ? cache_->stats() : EvaluatorCacheStats{};
+  if (state_ == nullptr) return {};
+  const std::lock_guard<std::mutex> lock(state_->mu);
+  return state_->stats;
 }
 
-std::size_t Evaluator::base_cache_size() const {
-  return cache_ != nullptr ? cache_->size() : 0;
+std::size_t Evaluator::base_bytes() const {
+  if (state_ == nullptr) return 0;
+  const std::lock_guard<std::mutex> lock(state_->mu);
+  std::size_t bytes = state_->anchor != nullptr ? state_->anchor->bytes() : 0;
+  for (const auto& b : state_->idle) bytes += b->bytes();
+  return bytes;
 }
 
 void Evaluator::invalidate_base_cache() const {
-  if (cache_ != nullptr) cache_->clear();
+  if (state_ == nullptr) return;
+  const std::lock_guard<std::mutex> lock(state_->mu);
+  state_->anchor.reset();
+  state_->idle.clear();
 }
 
 void Evaluator::flush_cache_stats_to_telemetry() const {
   telemetry::Registry* reg = telemetry::effective(config_.telemetry);
-  if (reg == nullptr || cache_ == nullptr) return;
-  const EvaluatorCacheStats s = cache_->stats();
+  if (reg == nullptr || state_ == nullptr) return;
+  const EvaluatorCacheStats s = base_cache_stats();
   reg->counter("evaluator.base_cache.hits", telemetry::Plane::kProcess).add(s.hits);
   reg->counter("evaluator.base_cache.misses", telemetry::Plane::kProcess).add(s.misses);
-  reg->counter("evaluator.base_cache.insertions", telemetry::Plane::kProcess)
-      .add(s.insertions);
-  reg->counter("evaluator.base_cache.evictions", telemetry::Plane::kProcess)
-      .add(s.evictions);
-  // Weight-delta donor patches: how many misses were served by patching a
-  // near-neighbor base, and how many arc-cost changes those patches applied.
-  // Donor availability depends on cache state (shape-dependent), so these
-  // live on the process plane like every cache counter.
+  reg->counter("evaluator.base_cache.promotions", telemetry::Plane::kProcess)
+      .add(s.promotions);
   reg->counter("eval.weight_patched", telemetry::Plane::kProcess).add(s.weight_patched);
   reg->counter("spf.arcs_updated", telemetry::Plane::kProcess).add(s.arcs_updated);
+  reg->gauge("evaluator.base_bytes", telemetry::Plane::kProcess).set(base_bytes());
 }
 
 Evaluator::Scratch& Evaluator::worker_scratch() {
@@ -282,57 +232,140 @@ Evaluator::Scratch& Evaluator::worker_scratch() {
   return scratch;
 }
 
-EvalResult Evaluator::evaluate(const WeightSetting& w, const FailureScenario& scenario,
-                               EvalDetail detail) const {
-  if (w.num_links() != graph_.num_links())
-    throw std::invalid_argument("Evaluator::evaluate: weight setting size mismatch");
-
-  Scratch& scratch = worker_scratch();
-  w.arc_costs(graph_, TrafficClass::kDelay, scratch.cost_delay);
-  w.arc_costs(graph_, TrafficClass::kThroughput, scratch.cost_tput);
-
-  // With the cache on, a single evaluation is worth a base record: the
-  // optimizer's pattern is evaluate(w) followed by sweeps / failure
-  // evaluations of the SAME weights, so the record built here is the one
-  // those calls reuse (and a failure evaluation that finds the record
-  // patches instead of recomputing).
-  std::shared_ptr<const IncrementalBase> base;
-  if (cache_ != nullptr && incremental_eligible(scenario))
-    base = acquire_base(w, scratch.cost_delay, scratch.cost_tput, 1,
-                        incremental_patchable(scenario) ? 1 : 0);
-  return evaluate_impl(scratch.cost_delay, scratch.cost_tput, scenario, detail, scratch,
-                       base.get());
-}
-
-void Evaluator::build_base(std::span<const double> cost_delay,
-                           std::span<const double> cost_tput, IncrementalBase& base,
-                           bool with_delay_base, bool with_records) const {
-  base.delay.compute(graph_, cost_delay, traffic_.delay, {}, {},
-                     with_records ? &base.delay_record : nullptr);
-  base.tput.compute(graph_, cost_tput, traffic_.throughput, {}, {},
-                    with_records ? &base.tput_record : nullptr);
-  if (with_records) {
-    // Mark the once_flag spent so ensure_patch_records never re-records a
-    // base that was built eagerly. Runs before the base is published, so the
-    // plain flag writes need no further synchronization.
-    std::call_once(base.records_once, [] {});
-    base.has_records = true;
+std::shared_ptr<EvalBase> Evaluator::acquire(const WeightSetting& w,
+                                             const FailureScenario& failure,
+                                             bool records) const {
+  if (state_ == nullptr) return nullptr;
+  AnchorState& st = *state_;
+  std::shared_ptr<EvalBase> anchor, buf;
+  {
+    const std::lock_guard<std::mutex> lock(st.mu);
+    anchor = st.anchor;
   }
-  if (!with_delay_base) return;
-
-  compute_base_products(base);
-
-  DelayDpIndex* record =
-      with_records && config_.incremental_delay ? &base.dp_index : nullptr;
-  base.delay.end_to_end_delays(graph_, cost_delay, {}, base.arc_delay, traffic_.delay,
-                               params_.sla_delay_mode, {}, base.sd_delay, record);
-  base.has_dp_index = record != nullptr;
-
-  aggregate_none_result(base);
-  base.has_delay_base = true;
+  // A shared anchor's key never changes, so the O(links) compare runs
+  // unlocked.
+  const bool hit = anchor != nullptr && same_on_alive_links(anchor->key, w, failure);
+  {
+    const std::lock_guard<std::mutex> lock(st.mu);
+    if (hit) {
+      ++st.stats.hits;
+      return anchor;
+    }
+    ++st.stats.misses;
+    buf = st.take_idle();
+  }
+  const std::size_t arcs = fill_base(w, anchor.get(), *buf, records);
+  anchor.reset();
+  const std::lock_guard<std::mutex> lock(st.mu);
+  if (arcs > 0) {
+    ++st.stats.weight_patched;
+    st.stats.arcs_updated += arcs;
+  } else {
+    st.install(buf);
+  }
+  return buf;
 }
 
-void Evaluator::compute_base_products(IncrementalBase& base) const {
+void Evaluator::release(std::shared_ptr<EvalBase> base) const {
+  const std::lock_guard<std::mutex> lock(state_->mu);
+  state_->park(std::move(base));
+}
+
+void Evaluator::promote(const WeightSetting& w) const {
+  if (state_ == nullptr) return;
+  AnchorState& st = *state_;
+  std::shared_ptr<EvalBase> anchor, buf;
+  {
+    const std::lock_guard<std::mutex> lock(st.mu);
+    if (st.anchor != nullptr && st.anchor->key == w) return;
+    // A recorded probe (Phase 2) is swapped in as is; the accepted probe's
+    // buffer is usually the one released last.
+    for (auto it = st.idle.rbegin(); it != st.idle.rend(); ++it) {
+      if (!(*it)->has_records || (*it)->key != w) continue;
+      buf = std::move(*it);
+      st.idle.erase(std::next(it).base());
+      break;
+    }
+    if (buf == nullptr) {
+      anchor = st.anchor;
+      buf = st.take_idle();
+    }
+  }
+  // Otherwise (a Phase-1 probe, patched without records) re-patch it from the
+  // old anchor, recording this time.
+  if (!buf->has_records || buf->key != w) fill_base(w, anchor.get(), *buf, /*records=*/true);
+  anchor.reset();
+  const std::lock_guard<std::mutex> lock(st.mu);
+  st.install(std::move(buf));
+}
+
+EvalProbe Evaluator::bind(const WeightSetting& w, bool with_base) const {
+  EvalProbe p;
+  p.owner_ = this;
+  p.weights_ = &w;
+  if (with_base) p.base_ = acquire(w, FailureScenario::none(), /*records=*/true);
+  if (p.base_ != nullptr) p.cost_ = p.base_->none_result.cost();
+  return p;
+}
+
+EvalProbe Evaluator::probe(const WeightSetting& w) const {
+  if (w.num_links() != graph_.num_links())
+    throw std::invalid_argument("Evaluator::probe: weight setting size mismatch");
+  EvalProbe p = bind(w, true);
+  if (p.base_ == nullptr) p.cost_ = evaluate(w).cost();
+  return p;
+}
+
+std::size_t Evaluator::fill_base(const WeightSetting& w, const EvalBase* from,
+                                 EvalBase& out, bool records) const {
+  out.key = w;
+  w.arc_costs(graph_, TrafficClass::kDelay, out.cost_delay);
+  w.arc_costs(graph_, TrafficClass::kThroughput, out.cost_tput);
+  Scratch& s = worker_scratch();
+  const std::size_t max_links = config_.weight_delta_max_links;
+  if (from != nullptr && max_links > 0) {
+    // Per-class arc-cost change lists: only the differing links' arcs,
+    // carrying the anchor's (old) cost. A class with identical weights gets
+    // an empty list and replays the anchor's routing wholesale.
+    s.delay_changes.clear();
+    s.tput_changes.clear();
+    std::size_t links = 0;
+    for (LinkId l = 0; l < w.num_links() && links <= max_links; ++l) {
+      const bool delay = w.get(TrafficClass::kDelay, l) != from->key.get(TrafficClass::kDelay, l);
+      const bool tput =
+          w.get(TrafficClass::kThroughput, l) != from->key.get(TrafficClass::kThroughput, l);
+      if (!delay && !tput) continue;
+      ++links;
+      for (ArcId a : graph_.link_arcs(l)) {
+        if (delay) s.delay_changes.push_back({a, from->cost_delay[a]});
+        if (tput) s.tput_changes.push_back({a, from->cost_tput[a]});
+      }
+    }
+    if (links >= 1 && links <= max_links) {
+      const double fraction = config_.incremental_max_affected_fraction;
+      out.delay.compute_from_weight_delta(graph_, out.cost_delay, traffic_.delay, from->delay,
+                                          from->delay_record, s.delay_changes, fraction,
+                                          s.failure, records ? &out.delay_record : nullptr);
+      out.tput.compute_from_weight_delta(graph_, out.cost_tput, traffic_.throughput,
+                                         from->tput, from->tput_record, s.tput_changes,
+                                         fraction, s.failure, records ? &out.tput_record : nullptr);
+      out.has_records = records;
+      // Recording the delay-DP index needs the full DP; otherwise the anchor's
+      // columns replay where they can.
+      finish_base(out, records ? nullptr : from, records && config_.incremental_delay);
+      return s.delay_changes.size() + s.tput_changes.size();
+    }
+  }
+  out.delay.compute(graph_, out.cost_delay, traffic_.delay, {}, {}, &out.delay_record);
+  out.tput.compute(graph_, out.cost_tput, traffic_.throughput, {}, {}, &out.tput_record);
+  out.has_records = true;
+  finish_base(out, nullptr, /*index=*/config_.incremental_delay);
+  return 0;
+}
+
+// The same products and aggregation the full path runs, so a served
+// no-failure result is bit-identical to a computed one.
+void Evaluator::finish_base(EvalBase& base, const EvalBase* from, bool index) const {
   const GraphCsr& csr = graph_.csr();
   const std::size_t num_arcs = graph_.num_arcs();
   base.total_load.resize(num_arcs);
@@ -342,11 +375,21 @@ void Evaluator::compute_base_products(IncrementalBase& base) const {
     base.arc_delay[a] = link_delay_ms(base.total_load[a], csr.capacity[a],
                                       csr.prop_delay_ms[a], params_.delay_model);
   }
-}
 
-// The same aggregation the full path runs, so a served no-failure result is
-// bit-identical to a computed one.
-void Evaluator::aggregate_none_result(IncrementalBase& base) const {
+  // Delay columns of a patched base: replay `from`'s for destinations whose
+  // DAG and read arc-delays are bitwise unchanged, run the DP for the rest —
+  // the same incremental-delay machinery the failure patch path rides.
+  if (from != nullptr && config_.incremental_delay) {
+    base.delay.end_to_end_delays_from_base(
+        graph_, base.cost_delay, {}, base.arc_delay, traffic_.delay, params_.sla_delay_mode,
+        from->arc_delay, from->sd_delay, from->dp_index, worker_scratch().failure,
+        base.sd_delay);
+  } else {
+    base.delay.end_to_end_delays(graph_, base.cost_delay, {}, base.arc_delay,
+                                 traffic_.delay, params_.sla_delay_mode, {}, base.sd_delay,
+                                 index ? &base.dp_index : nullptr);
+  }
+
   EvalResult& none = base.none_result;
   none = EvalResult{};
   const double disconnect_delay =
@@ -356,8 +399,6 @@ void Evaluator::aggregate_none_result(IncrementalBase& base) const {
   none.lambda = sla.lambda;
   none.sla_violations = sla.violations;
   none.disconnected_delay_pairs = base.delay.disconnected_demand_count();
-  const GraphCsr& csr = graph_.csr();
-  const std::size_t num_arcs = graph_.num_arcs();
   for (ArcId a = 0; a < num_arcs; ++a) {
     if (base.tput.arc_load(a) <= 0.0) continue;
     none.phi += fortz_cost(base.total_load[a], csr.capacity[a]);
@@ -366,138 +407,26 @@ void Evaluator::aggregate_none_result(IncrementalBase& base) const {
   none.disconnected_tput_pairs = base.tput.disconnected_demand_count();
 }
 
-bool Evaluator::build_base_from_donor(const WeightSetting& w,
-                                      const WeightSetting& donor_key,
-                                      const IncrementalBase& donor,
-                                      std::span<const double> cost_delay,
-                                      std::span<const double> cost_tput,
-                                      IncrementalBase& built) const {
-  if (!donor.has_delay_base) return false;
+EvalResult Evaluator::evaluate(const WeightSetting& w, const FailureScenario& scenario,
+                               EvalDetail detail) const {
+  if (w.num_links() != graph_.num_links())
+    throw std::invalid_argument("Evaluator::evaluate: weight setting size mismatch");
 
-  std::vector<double> donor_cost_delay, donor_cost_tput;
-  donor_key.arc_costs(graph_, TrafficClass::kDelay, donor_cost_delay);
-  donor_key.arc_costs(graph_, TrafficClass::kThroughput, donor_cost_tput);
-  // The donor's replay records (and delay-DP index) materialize on first use
-  // with the DONOR's own costs — exactly what its first failure patch would
-  // have recorded.
-  ensure_patch_records(donor_cost_delay, donor_cost_tput, donor);
-
-  // Per-class arc-cost change lists: only the differing links' arcs, carrying
-  // the donor's (old) cost. A class with identical weights gets an empty list
-  // and replays the donor's routing wholesale.
-  std::vector<ArcCostDelta> delay_changes, tput_changes;
-  for (LinkId l = 0; l < graph_.num_links(); ++l) {
-    if (w.get(TrafficClass::kDelay, l) != donor_key.get(TrafficClass::kDelay, l))
-      for (ArcId a : graph_.link_arcs(l))
-        delay_changes.push_back({a, donor_cost_delay[a]});
-    if (w.get(TrafficClass::kThroughput, l) != donor_key.get(TrafficClass::kThroughput, l))
-      for (ArcId a : graph_.link_arcs(l))
-        tput_changes.push_back({a, donor_cost_tput[a]});
+  Scratch& scratch = worker_scratch();
+  if (state_ == nullptr || !incremental_eligible(scenario)) {
+    w.arc_costs(graph_, TrafficClass::kDelay, scratch.cost_delay);
+    w.arc_costs(graph_, TrafficClass::kThroughput, scratch.cost_tput);
+    return evaluate_impl(scratch.cost_delay, scratch.cost_tput, scenario, detail, scratch);
   }
-
-  FailureScratch scratch;
-  built.delay.compute_from_weight_delta(graph_, cost_delay, traffic_.delay, donor.delay,
-                                        donor.delay_record, delay_changes,
-                                        config_.incremental_max_affected_fraction,
-                                        scratch);
-  built.tput.compute_from_weight_delta(graph_, cost_tput, traffic_.throughput,
-                                       donor.tput, donor.tput_record, tput_changes,
-                                       config_.incremental_max_affected_fraction,
-                                       scratch);
-
-  compute_base_products(built);
-
-  // Delay columns: replay the donor's for destinations whose DAG and read
-  // arc-delays are bitwise unchanged, run the DP for the rest — the same
-  // incremental-delay machinery the failure patch path rides.
-  if (config_.incremental_delay && donor.has_dp_index) {
-    built.delay.end_to_end_delays_from_base(
-        graph_, cost_delay, {}, built.arc_delay, traffic_.delay, params_.sla_delay_mode,
-        donor.arc_delay, donor.sd_delay, donor.dp_index, scratch, built.sd_delay);
-  } else {
-    built.delay.end_to_end_delays(graph_, cost_delay, {}, built.arc_delay,
-                                  traffic_.delay, params_.sla_delay_mode, {},
-                                  built.sd_delay);
-  }
-  aggregate_none_result(built);
-  built.has_delay_base = true;
-  // Records of the NEW base stay lazy (ensure_patch_records), like any cached
-  // scratch build.
-  cache_->note_weight_patch(delay_changes.size() + tput_changes.size());
-  return true;
+  // The base's own costs: under the failure they equal w's on every live arc.
+  std::shared_ptr<EvalBase> base = acquire(w, scenario, incremental_patchable(scenario));
+  EvalResult result = evaluate_impl(base->cost_delay, base->cost_tput, scenario, detail,
+                                    scratch, base.get());
+  release(std::move(base));
+  return result;
 }
 
-void Evaluator::ensure_patch_records(std::span<const double> cost_delay,
-                                     std::span<const double> cost_tput,
-                                     const IncrementalBase& base) const {
-  std::call_once(base.records_once, [&] {
-    // Replay the load sweeps over the base's EXISTING distance labels (no
-    // Dijkstra) to capture the per-destination replay slices, and the delay
-    // DP (which also reads only existing labels) to capture the dirty-arc
-    // index: same labels, same float ops, so the recorded values are exactly
-    // what an eager build would have recorded.
-    base.delay.record_contributions(graph_, cost_delay, traffic_.delay, {}, {},
-                                    base.delay_record);
-    base.tput.record_contributions(graph_, cost_tput, traffic_.throughput, {}, {},
-                                   base.tput_record);
-    if (config_.incremental_delay && base.has_delay_base) {
-      std::vector<double> sd_scratch;
-      base.delay.end_to_end_delays(graph_, cost_delay, {}, base.arc_delay,
-                                   traffic_.delay, params_.sla_delay_mode, {},
-                                   sd_scratch, &base.dp_index);
-      base.has_dp_index = true;
-    }
-    base.has_records = true;
-  });
-}
-
-std::shared_ptr<const Evaluator::IncrementalBase> Evaluator::acquire_base(
-    const WeightSetting& w, std::span<const double> cost_delay,
-    std::span<const double> cost_tput, std::size_t eligible_scenarios,
-    std::size_t patchable_scenarios) const {
-  std::shared_ptr<const IncrementalBase> base;
-  if (!config_.incremental) return base;
-  if (cache_ != nullptr) {
-    base = cache_->find(w);
-    if (base == nullptr) {
-      if (eligible_scenarios < 1) return base;
-      auto built = std::make_shared<IncrementalBase>();
-      // A cached record always carries the delay base (serving no-failure
-      // evaluations from it is half the point of caching) but defers the
-      // patch records to first reuse — most cached bases are Phase-1 probes
-      // that are evicted without ever patching a failure. When a near
-      // neighbor is cached (a probe differing from the incumbent on one
-      // link), the build itself is delta-patched from it.
-      bool from_donor = false;
-      if (config_.weight_delta_max_links > 0) {
-        if (auto donor = cache_->find_donor(w, config_.weight_delta_max_links))
-          from_donor = build_base_from_donor(w, donor->first, *donor->second,
-                                             cost_delay, cost_tput, *built);
-      }
-      if (!from_donor)
-        build_base(cost_delay, cost_tput, *built, /*with_delay_base=*/true,
-                   /*with_records=*/false);
-      cache_->insert(w, built);
-      base = std::move(built);
-    }
-  } else {
-    // Uncached: the base costs about one full routing to build; with fewer
-    // than two eligible scenarios it cannot pay for itself. The threshold
-    // depends only on the scenario list, so results stay independent of the
-    // execution shape. Records are built inline — an uncached base is
-    // always consumed by the very call that built it.
-    if (eligible_scenarios < 2) return base;
-    auto built = std::make_shared<IncrementalBase>();
-    build_base(cost_delay, cost_tput, *built, config_.incremental_delay,
-               /*with_records=*/true);
-    base = std::move(built);
-  }
-  if (patchable_scenarios > 0) ensure_patch_records(cost_delay, cost_tput, *base);
-  return base;
-}
-
-EvalResult Evaluator::serve_none_from_base(const IncrementalBase& base,
-                                           EvalDetail detail) const {
+EvalResult Evaluator::serve_none_from_base(const EvalBase& base, EvalDetail detail) const {
   EvalResult result = base.none_result;
   if (detail == EvalDetail::kFull) {
     const GraphCsr& csr = graph_.csr();
@@ -517,7 +446,7 @@ EvalResult Evaluator::serve_none_from_base(const IncrementalBase& base,
 EvalResult Evaluator::evaluate_impl(std::span<const double> cost_delay,
                                     std::span<const double> cost_tput,
                                     const FailureScenario& scenario, EvalDetail detail,
-                                    Scratch& s, const IncrementalBase* base,
+                                    Scratch& s, const EvalBase* base,
                                     EvalStats* stats) const {
   build_alive_mask(graph_, scenario, s.mask);
   const std::span<const NodeId> skip = skipped_nodes(scenario);
@@ -528,7 +457,7 @@ EvalResult Evaluator::evaluate_impl(std::span<const double> cost_delay,
 
   bool patched = false;
   if (base != nullptr && incremental_eligible(scenario)) {
-    if (scenario.kind == FailureScenario::Kind::kNone && base->has_delay_base) {
+    if (scenario.kind == FailureScenario::Kind::kNone) {
       if (stats != nullptr) ++stats->scenarios_served_none;
       return serve_none_from_base(*base, detail);
     }
@@ -568,7 +497,7 @@ EvalResult Evaluator::evaluate_impl(std::span<const double> cost_delay,
 EvalResult Evaluator::finish_scenario(std::span<const double> cost_delay,
                                       std::span<const NodeId> skip, EvalDetail detail,
                                       Scratch& s, bool patched,
-                                      const IncrementalBase* base) const {
+                                      const EvalBase* base) const {
   const ClassRouting& delay_routing = s.delay_routing;
   const ClassRouting& tput_routing = s.tput_routing;
 
@@ -592,7 +521,7 @@ EvalResult Evaluator::finish_scenario(std::span<const double> cost_delay,
   // delay-DP base skips the DP for destinations whose recorded inputs are
   // bitwise unchanged (same float terms, same order as the full DP).
   std::vector<double>& sd_delay = s.sd_delay;
-  if (patched && base->has_dp_index) {
+  if (patched && config_.incremental_delay) {
     delay_routing.end_to_end_delays_from_base(
         graph_, cost_delay, s.mask, arc_delay, traffic_.delay, params_.sla_delay_mode,
         base->arc_delay, base->sd_delay, base->dp_index, s.failure, sd_delay);
@@ -657,20 +586,18 @@ std::vector<EvalResult> Evaluator::evaluate_failures(
     EvalDetail detail) const {
   if (w.num_links() != graph_.num_links())
     throw std::invalid_argument("Evaluator::evaluate_failures: weight setting size mismatch");
+  const bool eligible = std::any_of(scenarios.begin(), scenarios.end(), incremental_eligible);
+  return evaluate_failures(bind(w, eligible), scenarios, pool, detail);
+}
 
+std::vector<EvalResult> Evaluator::evaluate_failures(
+    const EvalProbe& probe, std::span<const FailureScenario> scenarios, ThreadPool* pool,
+    EvalDetail detail) const {
   // Arc costs depend only on the weights: expand once, share across scenarios.
   std::vector<double> cost_delay, cost_tput;
-  w.arc_costs(graph_, TrafficClass::kDelay, cost_delay);
-  w.arc_costs(graph_, TrafficClass::kThroughput, cost_tput);
-
-  const auto eligible =
-      std::count_if(scenarios.begin(), scenarios.end(), incremental_eligible);
-  const auto patchable =
-      std::count_if(scenarios.begin(), scenarios.end(), incremental_patchable);
-  const std::shared_ptr<const IncrementalBase> base =
-      acquire_base(w, cost_delay, cost_tput, static_cast<std::size_t>(eligible),
-                   static_cast<std::size_t>(patchable));
-  const IncrementalBase* base_ptr = base.get();
+  probe.weights().arc_costs(graph_, TrafficClass::kDelay, cost_delay);
+  probe.weights().arc_costs(graph_, TrafficClass::kThroughput, cost_tput);
+  const EvalBase* base = probe.base_.get();
 
   // Per-index stats slabs mirror the per-index result slots: each scenario's
   // deterministic counters land in their own slot and are merged on the
@@ -686,7 +613,7 @@ std::vector<EvalResult> Evaluator::evaluate_failures(
       pool, scenarios.size(),
       [&](std::size_t, std::size_t i) {
         out[i] = evaluate_impl(cost_delay, cost_tput, scenarios[i], detail,
-                               worker_scratch(), base_ptr,
+                               worker_scratch(), base,
                                slabs.empty() ? nullptr : &slabs[i]);
       },
       sweep_chunk_size(scenarios.size()));
@@ -707,19 +634,24 @@ std::vector<CostPair> Evaluator::evaluate_costs(std::span<const EvalJob> jobs,
       throw std::invalid_argument("Evaluator::evaluate_costs: bad job weights");
   }
 
-  // Heterogeneous jobs usually reference a few distinct weight settings (the
-  // Phase-1b acceptable pool) many times each. Group by pointer on the
-  // calling thread and acquire one base per distinct setting that has
-  // patchable failure jobs (or is already cached), so workers patch instead
-  // of recomputing. Grouping happens before any parallelism, so which jobs
-  // ride the incremental path is independent of the execution shape.
-  std::vector<const IncrementalBase*> job_base(jobs.size(), nullptr);
-  std::vector<std::shared_ptr<const IncrementalBase>> held;  // keeps bases alive
-  if (config_.incremental && !jobs.empty()) {
+  // Jobs with a probe patch from its base. The rest usually reference a few
+  // distinct weight settings many times each: group them by pointer and
+  // acquire one base per distinct setting that has patchable failure jobs,
+  // so workers patch instead of recomputing. All of it happens on the
+  // calling thread before any parallelism, so which jobs ride the
+  // incremental path is independent of the execution shape.
+  std::vector<const EvalBase*> job_base(jobs.size(), nullptr);
+  std::vector<EvalProbe> held;
+  if (state_ != nullptr) {
     std::vector<const WeightSetting*> distinct;
-    std::vector<std::size_t> patchable;
+    std::vector<std::uint8_t> patchable;
     std::vector<std::size_t> group(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const bool patch = incremental_patchable(jobs[i].scenario);
+      if (jobs[i].probe != nullptr) {
+        job_base[i] = jobs[i].probe->base_.get();
+        continue;
+      }
       std::size_t d = 0;
       while (d < distinct.size() && distinct[d] != jobs[i].weights) ++d;
       if (d == distinct.size()) {
@@ -727,22 +659,16 @@ std::vector<CostPair> Evaluator::evaluate_costs(std::span<const EvalJob> jobs,
         patchable.push_back(0);
       }
       group[i] = d;
-      if (incremental_patchable(jobs[i].scenario)) ++patchable[d];
+      if (patch) patchable[d] = 1;
     }
-
-    std::vector<double> cost_delay, cost_tput;
-    std::vector<const IncrementalBase*> group_base(distinct.size(), nullptr);
+    std::vector<const EvalBase*> group_base(distinct.size(), nullptr);
     for (std::size_t d = 0; d < distinct.size(); ++d) {
-      const WeightSetting& w = *distinct[d];
-      w.arc_costs(graph_, TrafficClass::kDelay, cost_delay);
-      w.arc_costs(graph_, TrafficClass::kThroughput, cost_tput);
-      if (auto base = acquire_base(w, cost_delay, cost_tput, patchable[d],
-                                   patchable[d])) {
-        group_base[d] = base.get();
-        held.push_back(std::move(base));
-      }
+      if (patchable[d] == 0) continue;
+      held.push_back(bind(*distinct[d], true));
+      group_base[d] = held.back().base_.get();
     }
-    for (std::size_t i = 0; i < jobs.size(); ++i) job_base[i] = group_base[group[i]];
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      if (jobs[i].probe == nullptr) job_base[i] = group_base[group[i]];
   }
 
   telemetry::Registry* reg = telemetry::effective(config_.telemetry);
@@ -769,6 +695,15 @@ std::vector<CostPair> Evaluator::evaluate_costs(std::span<const EvalJob> jobs,
 }
 
 SweepResult Evaluator::sweep(const WeightSetting& w,
+                             std::span<const FailureScenario> scenarios,
+                             const SweepOptions& options) const {
+  if (w.num_links() != graph_.num_links())
+    throw std::invalid_argument("Evaluator::sweep: weight setting size mismatch");
+  const bool eligible = std::any_of(scenarios.begin(), scenarios.end(), incremental_eligible);
+  return sweep(bind(w, eligible), scenarios, options);
+}
+
+SweepResult Evaluator::sweep(const EvalProbe& probe,
                              std::span<const FailureScenario> scenarios,
                              const SweepOptions& options) const {
   const std::span<const double> scenario_weights = options.scenario_weights;
@@ -807,22 +742,11 @@ SweepResult Evaluator::sweep(const WeightSetting& w,
     return false;
   };
 
-  if (w.num_links() != graph_.num_links())
-    throw std::invalid_argument("Evaluator::sweep: weight setting size mismatch");
-
   // Arc costs depend only on the weights: expand once, share across the sweep.
   std::vector<double> cost_delay, cost_tput;
-  w.arc_costs(graph_, TrafficClass::kDelay, cost_delay);
-  w.arc_costs(graph_, TrafficClass::kThroughput, cost_tput);
-
-  const auto eligible =
-      std::count_if(scenarios.begin(), scenarios.end(), incremental_eligible);
-  const auto patchable =
-      std::count_if(scenarios.begin(), scenarios.end(), incremental_patchable);
-  const std::shared_ptr<const IncrementalBase> base =
-      acquire_base(w, cost_delay, cost_tput, static_cast<std::size_t>(eligible),
-                   static_cast<std::size_t>(patchable));
-  const IncrementalBase* base_ptr = base.get();
+  probe.weights().arc_costs(graph_, TrafficClass::kDelay, cost_delay);
+  probe.weights().arc_costs(graph_, TrafficClass::kThroughput, cost_tput);
+  const EvalBase* base_ptr = probe.base_.get();
 
   // Per-scenario terms the ordered accumulation consumes: costs plus the SLA
   // violation count (the downtime objective's raw material) plus the

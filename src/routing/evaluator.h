@@ -44,38 +44,23 @@ enum class EvalDetail : std::uint8_t { kCostsOnly, kFull };
 /// (test-enforced), so every incremental artifact can be cross-checked by
 /// flipping `incremental` off.
 struct EvaluatorConfig {
-  /// Batched link-failure evaluation (evaluate_failures / sweep /
-  /// sweep_detailed) computes one shared no-failure base routing per call
-  /// and patches each arc-removal scenario from it: distance labels are
-  /// delta-updated per destination and untouched destinations replay their
-  /// recorded load contributions instead of re-aggregating. This covers
-  /// single links, link pairs, AND links-only compound scenarios (SRLGs,
-  /// k-link failures) — any number of removed arcs flows through the same
-  /// multi-arc delta-SPF + replay path. Scenarios that fail nodes always
-  /// take the full path (their skip semantics change the demand set, not
-  /// just arcs). Master switch: the two caches below only engage when this
-  /// is on.
+  /// Anchored evaluation. The evaluator keeps one ANCHOR base — both class
+  /// routings of a weight setting plus their replay records, delay-DP index
+  /// and no-failure products — and serves every evaluation from it:
+  /// arc-removal scenarios (single links, link pairs, links-only compound
+  /// scenarios such as SRLGs) are delta-patched from the base — distance
+  /// labels delta-updated per destination, untouched destinations replaying
+  /// their recorded load contributions — and no-failure evaluations of the
+  /// anchor's weights are served from it outright. Scenarios that fail nodes
+  /// always take the full path (their skip semantics change the demand set,
+  /// not just arcs). Off = every evaluation is a full recompute (the
+  /// reference oracle).
   bool incremental = true;
   /// Per-destination fallback: when a failure invalidates more than this
   /// fraction of one destination's distance labels, that destination is
   /// recomputed with a full Dijkstra — past this point the delta bookkeeping
   /// stops paying for itself.
   double incremental_max_affected_fraction = 0.25;
-  /// Weights-keyed LRU cache of base-routing records across calls. A
-  /// no-failure evaluate() builds and caches the base (routings + no-failure
-  /// products), so the sweep / evaluate_failures / single-failure evaluate()
-  /// calls the optimizer issues for the SAME weight vector reuse one record
-  /// instead of recomputing the full Dijkstra + aggregation per call. The
-  /// patch-only machinery (replay CSRs + delay-DP index) is materialized
-  /// LAZILY on the first call that actually patches a failure from the
-  /// record, so Phase-1 probes that build a base which is evicted unused
-  /// never pay the recording cost. Keys are compared by VALUE (the whole
-  /// weight vector), so mutating a caller's WeightSetting can never serve a
-  /// stale record.
-  bool base_routing_cache = true;
-  /// LRU bound on cached base records. Sized for the optimizer's working
-  /// set: the incumbent plus one batch of speculative Phase-1 probes.
-  std::size_t base_cache_capacity = 16;
   /// Incremental end-to-end delay DP: the base records a dirty-arc index
   /// (which destinations' DPs read which arc's delay); a patched scenario
   /// marks the destinations whose DAG changed or whose recorded arc delays
@@ -83,15 +68,15 @@ struct EvaluatorConfig {
   /// replays the base's delay column for the rest — bit-identical by
   /// construction (same float terms, same order).
   bool incremental_delay = true;
-  /// Weight-delta donor patching: when a base-cache miss finds another cached
-  /// base whose weight vector differs on at most this many links (either
-  /// class), the new base's routings — labels, DAGs, loads, delay columns —
-  /// are delta-patched from that donor (delta_spf_update_arcs + record
-  /// replay) instead of rebuilt with full Dijkstras. Bit-identical to a
-  /// scratch build by the same argument as the failure patch path, so cache
-  /// contents stay pure acceleration state. This is the Phase-1 probe
-  /// accelerator: probes perturb ONE link's weights off the incumbent. 0
-  /// disables; only engages with incremental + base_routing_cache on.
+  /// Weight-delta probe patching: weights differing from the anchor's on at
+  /// most this many links (either class) get their base — labels, DAGs,
+  /// loads, delay columns — delta-patched from the anchor
+  /// (delta_spf_update_arcs + record replay) into a reusable probe buffer
+  /// instead of rebuilt with full Dijkstras. Bit-identical to a scratch build
+  /// by the same argument as the failure patch path. This is the local
+  /// search's probe accelerator: every probe changes ONE link's weights off
+  /// the incumbent. Weights farther away are built from scratch and become
+  /// the new anchor. 0 disables patching.
   std::size_t weight_delta_max_links = 1;
   /// Optional telemetry sink (borrowed; may be null). The BATCH entry points
   /// (evaluate_failures, evaluate_costs, sweep) fold their deterministic
@@ -99,27 +84,29 @@ struct EvaluatorConfig {
   /// thread — byte-identical across worker/thread shapes. Single evaluate()
   /// calls never publish deterministic counters: the optimizer's speculative
   /// Phase-1 probing issues a shape-dependent NUMBER of them, so per-call
-  /// publication would break the cross-shape identity. Base-cache counters
-  /// are shape-dependent by nature and flow to the process plane only, via
+  /// publication would break the cross-shape identity. Anchor counters are
+  /// shape-dependent and flow to the process plane only, via
   /// flush_cache_stats_to_telemetry(). Ignored while telemetry::enabled() is
   /// off.
   telemetry::Registry* telemetry = nullptr;
 };
 
-/// Counters of the weights-keyed base-routing cache (monotonic; snapshot via
+/// Counters of the evaluator's anchor (monotonic; snapshot via
 /// Evaluator::base_cache_stats).
 struct EvaluatorCacheStats {
+  /// Base acquisitions the anchor served itself: its weights by value, or —
+  /// for a single failure evaluation — equal on every link left alive.
   std::uint64_t hits = 0;
+  /// Acquisitions that needed a base of their own (patched or built).
   std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;
-  /// Cache misses whose base was delta-patched from a donor entry (a cached
-  /// base differing on <= weight_delta_max_links links) instead of rebuilt
-  /// with full Dijkstras.
+  /// Misses whose base was delta-patched from the anchor (weights within
+  /// weight_delta_max_links links) instead of rebuilt with full Dijkstras.
   std::uint64_t weight_patched = 0;
-  /// Total arc-cost-change entries applied by those donor patches (both
-  /// classes; 2 arcs per changed link on bidirectional topologies).
+  /// Total arc-cost-change entries applied by those patches (both classes;
+  /// 2 arcs per changed link on bidirectional topologies).
   std::uint64_t arcs_updated = 0;
+  /// Anchor replacements: promotions plus scratch builds.
+  std::uint64_t promotions = 0;
 };
 
 /// Deterministic per-evaluation counters of one scenario evaluation, folded
@@ -167,11 +154,46 @@ struct SharedScenarioLabels {
   std::vector<std::vector<double>> tput;
 };
 
+class Evaluator;
+struct EvalBase;  // defined in evaluator.cpp
+
+/// A candidate weight setting held for several evaluations: its no-failure
+/// base (the anchor itself, or a buffer delta-patched from it) plus its
+/// no-failure costs. Phase 2 keeps one from the constraint check to the
+/// failure sweep, so the candidate is patched once; the Phase-1b samplers
+/// keep one per acceptable setting across their batches. Move-only; its
+/// buffer returns to the evaluator when the handle dies. Must not outlive
+/// the evaluator or the probed weights, and is used from one thread at a
+/// time (batch calls on it still parallelize internally).
+class EvalProbe {
+ public:
+  EvalProbe() = default;
+  EvalProbe(EvalProbe&& other) noexcept;
+  EvalProbe& operator=(EvalProbe&& other) noexcept;
+  EvalProbe(const EvalProbe&) = delete;
+  EvalProbe& operator=(const EvalProbe&) = delete;
+  ~EvalProbe();
+
+  const WeightSetting& weights() const { return *weights_; }
+  /// No-failure costs of weights().
+  CostPair cost() const { return cost_; }
+
+ private:
+  friend class Evaluator;
+  const Evaluator* owner_ = nullptr;
+  const WeightSetting* weights_ = nullptr;
+  std::shared_ptr<EvalBase> base_;  ///< null when the evaluator is not incremental
+  CostPair cost_;
+};
+
 /// One unit of batched evaluation work: a weight setting under a failure
-/// scenario. `weights` must outlive the batch call.
+/// scenario. `weights` (and `probe`) must outlive the batch call.
 struct EvalJob {
   const WeightSetting* weights = nullptr;
   FailureScenario scenario = FailureScenario::none();
+  /// Optional probe of `*weights` on the same evaluator: the job patches
+  /// from its base instead of one the call acquires.
+  const EvalProbe* probe = nullptr;
 };
 
 /// Aggregate over a scenario set (the Kfail sums of Eqs. (4)/(7)).
@@ -226,6 +248,16 @@ struct SweepOptions {
 /// experiment harnesses.
 ///
 /// The evaluator never mutates the graph: failures are arc liveness masks.
+///
+/// Incremental evaluation is anchored (see EvaluatorConfig::incremental):
+/// the evaluator holds one anchor base, the search's incumbent. Weights
+/// equal to the anchor's are served from it; weights within
+/// weight_delta_max_links links are delta-patched from it into a reusable
+/// probe buffer; anything farther is built from scratch and becomes the new
+/// anchor, so repeated calls on one weight vector outside a search reuse it.
+/// A search names its incumbent explicitly through promote(). Every path is
+/// bit-identical to a full recompute, so the anchor is never observable in
+/// results.
 class Evaluator {
  public:
   Evaluator(const Graph& g, const ClassedTraffic& traffic, EvalParams params,
@@ -237,6 +269,11 @@ class Evaluator {
   const EvalParams& params() const { return params_; }
   const EvaluatorConfig& config() const { return config_; }
 
+  /// A single failure evaluation of weights that equal the anchor's on every
+  /// link the scenario leaves alive patches from the anchor: a failed link's
+  /// arcs carry no label and no load, so its weights are immaterial. This is
+  /// how the Phase-1a exact-mode sample of a probe under its own link's
+  /// failure rides the incumbent's base.
   EvalResult evaluate(const WeightSetting& w,
                       const FailureScenario& scenario = FailureScenario::none(),
                       EvalDetail detail = EvalDetail::kCostsOnly) const;
@@ -252,10 +289,23 @@ class Evaluator {
                                   const SharedScenarioLabels& labels,
                                   EvalDetail detail = EvalDetail::kCostsOnly) const;
 
+  /// Acquires `w`'s base as a probe handle (see EvalProbe). `w` must outlive
+  /// the handle.
+  EvalProbe probe(const WeightSetting& w) const;
+
+  /// Makes `w` the anchor — the optimizer's accept and restart hooks call
+  /// this with the new incumbent. A released probe buffer holding `w` with
+  /// its replay records is swapped in; otherwise `w` is patched from the
+  /// old anchor (or built), recording its replay data once. Thread-safe;
+  /// probes still holding the old anchor keep it alive.
+  void promote(const WeightSetting& w) const;
+
   /// Sums weighted Lambda/Phi/violations over `scenarios` under the options'
   /// early-abort / weighting / parallelism knobs (see SweepOptions). The
   /// workhorse behind every catalog-aggregation objective.
   SweepResult sweep(const WeightSetting& w, std::span<const FailureScenario> scenarios,
+                    const SweepOptions& options = {}) const;
+  SweepResult sweep(const EvalProbe& probe, std::span<const FailureScenario> scenarios,
                     const SweepOptions& options = {}) const;
 
   /// Per-scenario results (for the per-failure figures / metrics).
@@ -270,6 +320,10 @@ class Evaluator {
   /// Results are bit-identical for any worker count (each scenario is an
   /// independent pure evaluation written to its own output slot).
   std::vector<EvalResult> evaluate_failures(const WeightSetting& w,
+                                            std::span<const FailureScenario> scenarios,
+                                            ThreadPool* pool = nullptr,
+                                            EvalDetail detail = EvalDetail::kCostsOnly) const;
+  std::vector<EvalResult> evaluate_failures(const EvalProbe& probe,
                                             std::span<const FailureScenario> scenarios,
                                             ThreadPool* pool = nullptr,
                                             EvalDetail detail = EvalDetail::kCostsOnly) const;
@@ -288,30 +342,32 @@ class Evaluator {
   /// Number of SD pairs with positive delay-class demand.
   std::size_t delay_demand_pairs() const { return delay_pairs_; }
 
-  /// Snapshot of the base-routing cache counters (all zero when the cache is
-  /// disabled). Thread-safe.
+  /// Snapshot of the anchor counters (all zero when not incremental).
+  /// Thread-safe.
   EvaluatorCacheStats base_cache_stats() const;
 
-  /// Cached base records currently held (<= base_cache_capacity).
-  std::size_t base_cache_size() const;
+  /// Bytes held by the anchor and the idle probe buffers (vector
+  /// capacities). Thread-safe.
+  std::size_t base_bytes() const;
 
-  /// Drops every cached base record (counters survive). The cache keys on
-  /// weight-vector VALUES, so ordinary weight mutation can never serve a
-  /// stale record; this exists for tests and for callers that want to
-  /// release the memory between workloads. Thread-safe, and `const` like the
-  /// evaluation entry points: the cache is pure acceleration state, never
-  /// observable in results.
+  /// Drops the anchor and the idle probe buffers (counters survive), for
+  /// tests and for callers that want the memory back between workloads.
+  /// Thread-safe, and `const` like the evaluation entry points: the anchor
+  /// is pure acceleration state, never observable in results.
   void invalidate_base_cache() const;
 
-  /// Publishes the base-routing cache LIFETIME totals into the process plane
-  /// of config().telemetry (`evaluator.base_cache.*`). Hit/miss counts depend
-  /// on the execution shape (LRU survivor sets, speculative lookups), so they
+  /// Publishes the anchor LIFETIME totals into the process plane of
+  /// config().telemetry (`evaluator.base_cache.*`, `eval.weight_patched`,
+  /// `spf.arcs_updated`) plus the `evaluator.base_bytes` gauge. Hit/miss
+  /// counts depend on the execution shape (speculative probes), so they
   /// never enter the deterministic plane. The evaluator's owner calls this
   /// exactly once, when done with it — repeated flushes would double-count.
-  /// No-op when telemetry is disabled, unset, or the cache is off.
+  /// No-op when telemetry is disabled or unset, or when not incremental.
   void flush_cache_stats_to_telemetry() const;
 
  private:
+  friend class EvalProbe;
+
   /// Reusable per-evaluation buffers. One instance per worker thread; reusing
   /// it across scenario evaluations keeps the hot path allocation-free.
   struct Scratch {
@@ -322,21 +378,16 @@ class Evaluator {
     std::vector<double> arc_delay;
     std::vector<double> sd_delay;
     std::vector<ArcId> removed;
+    std::vector<ArcCostDelta> delay_changes;
+    std::vector<ArcCostDelta> tput_changes;
     ClassRouting delay_routing;
     ClassRouting tput_routing;
     FailureScratch failure;
   };
 
-  /// Shared no-failure base for the incremental path: both class routings
-  /// plus their replay records, and (when the delay DP / cache want it) the
-  /// no-failure loads, arc delays, delay-DP output + dirty-arc index, and
-  /// aggregated costs. Built once (per batch call, or once per weight vector
-  /// when cached) on one thread, then read concurrently by every worker.
-  struct IncrementalBase;
-
-  /// Weights-keyed LRU cache of shared_ptr'd IncrementalBase records
-  /// (mutex-guarded; defined in evaluator.cpp).
-  class BaseCache;
+  /// The anchor, the idle probe buffers and the counters (mutex-guarded;
+  /// defined in evaluator.cpp).
+  struct AnchorState;
 
   /// Core evaluation with pre-expanded arc costs and caller-owned scratch.
   /// A non-null `base` routes eligible scenarios through the incremental
@@ -346,7 +397,7 @@ class Evaluator {
   EvalResult evaluate_impl(std::span<const double> cost_delay,
                            std::span<const double> cost_tput,
                            const FailureScenario& scenario, EvalDetail detail,
-                           Scratch& scratch, const IncrementalBase* base = nullptr,
+                           Scratch& scratch, const EvalBase* base = nullptr,
                            EvalStats* stats = nullptr) const;
 
   /// Everything downstream of the two class routings sitting in `scratch`:
@@ -356,65 +407,41 @@ class Evaluator {
   /// operations are literally the same code.
   EvalResult finish_scenario(std::span<const double> cost_delay,
                              std::span<const NodeId> skip, EvalDetail detail,
-                             Scratch& s, bool patched,
-                             const IncrementalBase* base) const;
+                             Scratch& s, bool patched, const EvalBase* base) const;
 
-  /// Builds the no-failure base for these arc costs: both routings, plus the
-  /// delay-DP base (loads, delays, sd_delay, aggregated no-failure costs)
-  /// when `with_delay_base`. With `with_records` the replay CSRs and the
-  /// dirty-arc delay-DP index are recorded inline (the uncached path, which
-  /// patches immediately); without, they are left for ensure_patch_records
-  /// to materialize on first reuse.
-  void build_base(std::span<const double> cost_delay, std::span<const double> cost_tput,
-                  IncrementalBase& base, bool with_delay_base, bool with_records) const;
+  /// The base to evaluate `w` from (see the class comment), or null when not
+  /// incremental; carries replay records when `records` (for patching
+  /// failures from it). With a `failure` scenario, the anchor also serves
+  /// weights that differ from it only on links the scenario fails. The
+  /// caller hands it back through release().
+  std::shared_ptr<EvalBase> acquire(const WeightSetting& w, const FailureScenario& failure,
+                                    bool records) const;
 
-  /// Builds a base by delta-patching a donor base whose weights differ on at
-  /// most weight_delta_max_links links: both routings run
-  /// compute_from_weight_delta from the donor's labels + replay records, the
-  /// delay columns replay the donor's via the dirty-arc index, and the
-  /// no-failure products/aggregates are derived by the same shared helpers as
-  /// build_base — bit-identical to a scratch build. Returns false (built
-  /// untouched) when the donor cannot serve. Records of the NEW base stay
-  /// lazy (ensure_patch_records).
-  bool build_base_from_donor(const WeightSetting& w, const WeightSetting& donor_key,
-                             const IncrementalBase& donor,
-                             std::span<const double> cost_delay,
-                             std::span<const double> cost_tput,
-                             IncrementalBase& built) const;
+  /// A probe handle over `w`, acquiring its base (with records) only
+  /// `with_base`; unlike probe() it leaves cost() unset when there is no
+  /// base.
+  EvalProbe bind(const WeightSetting& w, bool with_base) const;
 
-  /// No-failure total loads + arc delays of a base whose routings are done.
-  void compute_base_products(IncrementalBase& base) const;
+  /// Returns a base from acquire(): a probe buffer goes back to the idle
+  /// list, keeping its contents for promote().
+  void release(std::shared_ptr<EvalBase> base) const;
 
-  /// No-failure cost aggregation (SLA over base.sd_delay — mutating it in
-  /// place like every evaluation does — plus the Fortz sum) into
-  /// base.none_result. Requires products + sd_delay.
-  void aggregate_none_result(IncrementalBase& base) const;
+  /// Fills `out` with `w`'s base: delta-patched from the anchor `from` when
+  /// within weight_delta_max_links links (returns the number of arc-cost
+  /// changes applied; records only when `records`), else built from scratch
+  /// with its replay records (returns 0).
+  std::size_t fill_base(const WeightSetting& w, const EvalBase* from, EvalBase& out,
+                        bool records) const;
 
-  /// Materializes the patch-only machinery of a lazily built base — the
-  /// replay CSRs and (when the delay DP is on) the dirty-arc index — by
-  /// re-running the deterministic base computation with recording enabled.
-  /// Thread-safe (call_once); a no-op when the base already carries records.
-  void ensure_patch_records(std::span<const double> cost_delay,
-                            std::span<const double> cost_tput,
-                            const IncrementalBase& base) const;
+  /// No-failure total loads, arc delays, delay columns and aggregated costs
+  /// of a base whose routings are done; the delay DP records the base's
+  /// dirty-arc index when `index`, and replays `from`'s columns when given.
+  void finish_base(EvalBase& base, const EvalBase* from, bool index) const;
 
-  /// Returns the base record to patch from, or nullptr when the incremental
-  /// path is off / cannot pay for itself. Consults the cache first (hit =
-  /// free reuse); on a miss, builds when at least one eligible scenario
-  /// amortizes the build (cache on: >= 1, since the record is kept for later
-  /// calls; cache off: >= 2, the build costs about one full evaluation).
-  /// `eligible_scenarios` = 0 means "find only, never build".
-  /// `patchable_scenarios` > 0 additionally guarantees the returned base
-  /// carries patch records (ensure_patch_records has run).
-  std::shared_ptr<const IncrementalBase> acquire_base(
-      const WeightSetting& w, std::span<const double> cost_delay,
-      std::span<const double> cost_tput, std::size_t eligible_scenarios,
-      std::size_t patchable_scenarios) const;
-
-  /// No-failure evaluation served from a cached base: returns the stored
-  /// aggregate (and rebuilds the kFull detail vectors from the stored
-  /// no-failure products) — bit-identical to recomputing, by purity.
-  EvalResult serve_none_from_base(const IncrementalBase& base, EvalDetail detail) const;
+  /// No-failure evaluation served from a base: returns the stored aggregate
+  /// (and rebuilds the kFull detail vectors from the stored no-failure
+  /// products) — bit-identical to recomputing, by purity.
+  EvalResult serve_none_from_base(const EvalBase& base, EvalDetail detail) const;
 
   /// The calling thread's persistent scratch. Pool workers are long-lived,
   /// so batched evaluations reuse buffers across calls, not just within one.
@@ -426,11 +453,10 @@ class Evaluator {
   EvaluatorConfig config_;
   double phi_uncap_ = 0.0;
   std::size_t delay_pairs_ = 0;
-  /// Non-null iff config_.incremental && config_.base_routing_cache. The
-  /// pointer is set once in the constructor; the cache itself is internally
-  /// synchronized, so const evaluation entry points may touch it from any
-  /// thread.
-  std::unique_ptr<BaseCache> cache_;
+  /// Non-null iff config_.incremental. Set once in the constructor; the
+  /// state itself is internally synchronized, so const evaluation entry
+  /// points may touch it from any thread.
+  std::unique_ptr<AnchorState> state_;
 };
 
 }  // namespace dtr

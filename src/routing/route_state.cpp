@@ -147,19 +147,10 @@ void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc
                                      const TrafficMatrix& demands, ArcAliveMask alive_mask,
                                      std::span<const NodeId> skip_nodes, NodeId t,
                                      RoutingBaseRecord* record) {
-  sweep_destination_body(g, arc_cost, demands, alive_mask, skip_nodes, t, record,
-                         &arc_load_, &disconnected_, &disconnected_volume_, node_flow_,
-                         order_);
-}
-
-void ClassRouting::sweep_destination_body(
-    const Graph& g, std::span<const double> arc_cost, const TrafficMatrix& demands,
-    ArcAliveMask alive_mask, std::span<const NodeId> skip_nodes, NodeId t,
-    RoutingBaseRecord* record, std::vector<double>* arc_load,
-    std::size_t* disconnected, double* disconnected_volume,
-    std::vector<double>& node_flow, std::vector<NodeId>& order) const {
   const std::size_t n = g.num_nodes();
   const auto& dist = dist_[t];
+  std::vector<double>& node_flow = node_flow_;
+  std::vector<NodeId>& order = order_;
   node_flow.assign(n, 0.0);
 
   // Seed node flows with the demands toward t. Disconnection is accumulated
@@ -180,8 +171,8 @@ void ClassRouting::sweep_destination_body(
     node_flow[s] = d;
     any_flow = true;
   }
-  if (disconnected != nullptr) *disconnected += dest_disconnected;
-  if (disconnected_volume != nullptr) *disconnected_volume += dest_volume;
+  disconnected_ += dest_disconnected;
+  disconnected_volume_ += dest_volume;
   if (record != nullptr) {
     record->disconnected.push_back(dest_disconnected);
     record->disconnected_volume.push_back(dest_volume);
@@ -221,7 +212,7 @@ void ClassRouting::sweep_destination_body(
       const ArcId a = csr.out_arc[k];
       const NodeId v = csr.out_head[k];
       if (!alive(alive_mask, a) || !arc_is_tight(u, v, arc_cost[a], dist)) continue;
-      if (arc_load != nullptr) (*arc_load)[a] += share;
+      arc_load_[a] += share;
       node_flow[v] += share;
       if (record != nullptr) {
         record->contrib_arc.push_back(a);
@@ -229,33 +220,6 @@ void ClassRouting::sweep_destination_body(
       }
     }
     node_flow[u] = 0.0;
-  }
-}
-
-void ClassRouting::record_contributions(const Graph& g, std::span<const double> arc_cost,
-                                        const TrafficMatrix& demands,
-                                        ArcAliveMask alive_mask,
-                                        std::span<const NodeId> skip_nodes,
-                                        RoutingBaseRecord& record) const {
-  const std::size_t n = g.num_nodes();
-  if (dist_.size() != n)
-    throw std::logic_error("record_contributions: routing not computed for this graph");
-  record.reset(n);
-
-  // The same sweep_destination_body every load path runs — here with null
-  // load/disconnection accumulators (this routing already holds the correct
-  // totals), so only the record is written.
-  std::vector<double> node_flow;
-  std::vector<NodeId> order;
-  for (NodeId t = 0; t < n; ++t) {
-    if (is_skipped(skip_nodes, t)) {
-      record.disconnected.push_back(0);
-      record.disconnected_volume.push_back(0.0);
-    } else {
-      sweep_destination_body(g, arc_cost, demands, alive_mask, skip_nodes, t, &record,
-                             nullptr, nullptr, nullptr, node_flow, order);
-    }
-    record.contrib_offset.push_back(record.contrib_arc.size());
   }
 }
 
@@ -337,7 +301,8 @@ void ClassRouting::compute_from_weight_delta(const Graph& g,
                                              const RoutingBaseRecord& record,
                                              std::span<const ArcCostDelta> changes,
                                              double max_affected_fraction,
-                                             FailureScratch& scratch) {
+                                             FailureScratch& scratch,
+                                             RoutingBaseRecord* out_record) {
   if (demands.num_nodes() != g.num_nodes())
     throw std::invalid_argument("ClassRouting: traffic matrix / graph size mismatch");
   const std::size_t n = g.num_nodes();
@@ -350,6 +315,7 @@ void ClassRouting::compute_from_weight_delta(const Graph& g,
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
   replayed_.assign(n, 0);
+  if (out_record != nullptr) out_record->reset(n);
 
   const std::size_t cap =
       max_affected_fraction >= 1.0
@@ -390,20 +356,35 @@ void ClassRouting::compute_from_weight_delta(const Graph& g,
         }
       }
     }
+    const std::size_t lo = record.contrib_offset[t];
+    const std::size_t hi = record.contrib_offset[t + 1];
     if (affected) {
-      sweep_destination(g, arc_cost, demands, {}, {}, t, nullptr);
+      sweep_destination(g, arc_cost, demands, {}, {}, t, out_record);
       ++scratch.stats_.dests_resweep;
     } else {
       // Untouched DAG: replay the base contributions. Every accumulator
       // receives the same float terms in the same destination order as a
-      // full recompute, so the patched state is bitwise identical.
-      for (std::size_t i = record.contrib_offset[t]; i < record.contrib_offset[t + 1]; ++i)
+      // full recompute, so the patched state is bitwise identical — and the
+      // base's slices are exactly what recording this destination would give.
+      for (std::size_t i = lo; i < hi; ++i)
         arc_load_[record.contrib_arc[i]] += record.contrib_val[i];
       disconnected_ += record.disconnected[t];
       disconnected_volume_ += record.disconnected_volume[t];
       replayed_[t] = 1;
       ++scratch.stats_.dests_replayed;
+      if (out_record != nullptr) {
+        out_record->contrib_arc.insert(out_record->contrib_arc.end(),
+                                       record.contrib_arc.begin() + lo,
+                                       record.contrib_arc.begin() + hi);
+        out_record->contrib_val.insert(out_record->contrib_val.end(),
+                                       record.contrib_val.begin() + lo,
+                                       record.contrib_val.begin() + hi);
+        out_record->disconnected.push_back(record.disconnected[t]);
+        out_record->disconnected_volume.push_back(record.disconnected_volume[t]);
+      }
     }
+    if (out_record != nullptr)
+      out_record->contrib_offset.push_back(out_record->contrib_arc.size());
   }
 }
 

@@ -40,6 +40,11 @@ struct RoutingBaseRecord {
   std::vector<double> disconnected_volume;
 
   void reset(std::size_t num_nodes);
+
+  std::size_t memory_bytes() const {
+    return heap_bytes(contrib_offset) + heap_bytes(contrib_arc) + heap_bytes(contrib_val) +
+           heap_bytes(disconnected) + heap_bytes(disconnected_volume);
+  }
 };
 
 /// Bucket upper bounds for the delta-SPF affected-region-size histogram
@@ -127,19 +132,6 @@ class ClassRouting {
                std::span<const NodeId> skip_nodes = {},
                RoutingBaseRecord* record = nullptr);
 
-  /// Re-derives the RoutingBaseRecord that compute(..., record) would have
-  /// produced, from this routing's EXISTING distance labels — the demand
-  /// seeding and ECMP share arithmetic re-run over dist_, but no Dijkstra.
-  /// The appended values are bitwise identical to an eagerly recorded
-  /// base's (same labels, same float ops, same order; test-enforced via the
-  /// incremental byte-identity suites). Used by the evaluator's lazy
-  /// base-record materialization; `alive`/`skip_nodes` must match the
-  /// compute() call that produced this routing.
-  void record_contributions(const Graph& g, std::span<const double> arc_cost,
-                            const TrafficMatrix& demands, ArcAliveMask alive,
-                            std::span<const NodeId> skip_nodes,
-                            RoutingBaseRecord& record) const;
-
   /// Incremental recompute of this routing under an arc-removal failure,
   /// patching from `base` — the same graph/costs/demands with every removed
   /// arc alive, computed WITH `record`. Produces bitwise-identical state to
@@ -171,14 +163,18 @@ class ClassRouting {
   ///
   /// This is the optimizer's candidate-probing fast path: a probe that
   /// changes one link's weights differs from the incumbent by two arcs per
-  /// class.
+  /// class. With `out_record` the patched routing's own replay record is
+  /// written alongside — re-swept destinations record as compute() would,
+  /// replayed ones copy their slices from `record` — so a patched base can
+  /// serve failure patches in turn.
   void compute_from_weight_delta(const Graph& g, std::span<const double> arc_cost,
                                  const TrafficMatrix& demands,
                                  const ClassRouting& base,
                                  const RoutingBaseRecord& record,
                                  std::span<const ArcCostDelta> changes,
                                  double max_affected_fraction,
-                                 FailureScratch& scratch);
+                                 FailureScratch& scratch,
+                                 RoutingBaseRecord* out_record = nullptr);
 
   /// (Re)computes the routing from CALLER-PROVIDED distance labels
   /// (labels[t][u] = shortest cost u -> t under arc_cost/alive), skipping the
@@ -194,6 +190,12 @@ class ClassRouting {
                            std::span<const NodeId> skip_nodes = {});
 
   std::span<const double> arc_loads() const { return arc_load_; }
+
+  /// Heap bytes of the labels, loads and sweep buffers.
+  std::size_t memory_bytes() const {
+    return heap_bytes(arc_load_) + heap_bytes(dist_) + heap_bytes(replayed_) +
+           heap_bytes(node_flow_) + heap_bytes(order_);
+  }
   double arc_load(ArcId a) const { return arc_load_[a]; }
 
   /// dist[t][u] = shortest cost from u to t (kInfDist if unreachable).
@@ -251,27 +253,13 @@ class ClassRouting {
   /// Seeds the demands toward `t` (counting its disconnected demand as a
   /// per-destination subtotal) and runs the decreasing-distance ECMP load
   /// sweep over dist_[t]. Appends the destination's slices to `record` when
-  /// given. Shared by the full and incremental paths so their per-destination
-  /// float operations are literally the same code.
+  /// given: the recorded shares are the applied ones. Shared by the full and
+  /// incremental paths so their per-destination float operations are
+  /// literally the same code.
   void sweep_destination(const Graph& g, std::span<const double> arc_cost,
                          const TrafficMatrix& demands, ArcAliveMask alive_mask,
                          std::span<const NodeId> skip_nodes, NodeId t,
                          RoutingBaseRecord* record);
-
-  /// The one per-destination seed + ECMP share sweep every load path runs:
-  /// `arc_load` / `disconnected` / `disconnected_volume` receive the results
-  /// when non-null (compute / compute_from_base via sweep_destination), and
-  /// `record` receives the replay slices (eager recording and the lazy
-  /// record_contributions, which passes null accumulators). One body means
-  /// one set of float ops — the recorded shares cannot drift from the
-  /// applied ones.
-  void sweep_destination_body(const Graph& g, std::span<const double> arc_cost,
-                              const TrafficMatrix& demands, ArcAliveMask alive_mask,
-                              std::span<const NodeId> skip_nodes, NodeId t,
-                              RoutingBaseRecord* record, std::vector<double>* arc_load,
-                              std::size_t* disconnected, double* disconnected_volume,
-                              std::vector<double>& node_flow,
-                              std::vector<NodeId>& order) const;
 
   /// One destination's delay DP (demand check, increasing-distance order,
   /// expected/worst accumulation). Shared by the full and incremental delay

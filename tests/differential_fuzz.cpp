@@ -11,9 +11,13 @@
 ///      dead-arc removals, multi-link change lists) vs a full Dijkstra;
 ///   2. failure-scenario evaluation (single links, link pairs, links-only
 ///      compound scenarios, node failures) incremental vs full;
-///   3. weight-delta donor patching (Phase-1 probe shape: neighbors of a
-///      cached incumbent) vs scratch-built bases, plus the cross-trial
-///      shared-labels path of evaluate_fluctuations vs per-trial evaluators.
+///   3. weight-delta probe patching (Phase-1 probe shape: neighbors of an
+///      anchored incumbent) vs scratch-built bases, plus the cross-trial
+///      shared-labels path of evaluate_fluctuations vs per-trial evaluators;
+///   4. a short seeded LocalSearch (Phase-1 and Phase-2 objective shapes,
+///      speculative probing, promotion on accept and restart, exact-mode
+///      failure samples) through the anchored evaluator vs the full one:
+///      accepted moves and final costs must match byte for byte.
 ///
 /// Usage: differential_fuzz [--seed N] [--budget-seconds S]
 /// Exit code 0 = no divergence inside the budget; 1 = divergence (a repro
@@ -28,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "core/local_search.h"
 #include "experiments/campaign.h"
 #include "experiments/workloads.h"
 #include "graph/spf.h"
@@ -36,6 +41,7 @@
 #include "routing/failures.h"
 #include "routing/weights.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dtr {
 namespace {
@@ -135,7 +141,7 @@ void fuzz_evaluator(Rng& rng) {
   const experiments::Workload w = experiments::make_workload(spec);
   const int num_links = static_cast<int>(w.graph.num_links());
 
-  EvaluatorConfig fast_cfg;  // defaults: incremental + cache + donor patching
+  EvaluatorConfig fast_cfg;  // defaults: anchored, with probe patching
   EvaluatorConfig full_cfg;
   full_cfg.incremental = false;
   const Evaluator fast(w.graph, w.traffic, w.params, fast_cfg);
@@ -165,8 +171,8 @@ void fuzz_evaluator(Rng& rng) {
       static_cast<NodeId>(rng.uniform_int(0, static_cast<int>(w.graph.num_nodes()) - 1))));
 
   // The incumbent, then Phase-1-probe-shaped neighbors (1-2 changed links):
-  // after the first evaluation the fast evaluator's misses ride the donor
-  // patch path.
+  // after the first evaluation the fast evaluator's one-link probes are
+  // patched from the anchor.
   std::vector<WeightSetting> settings;
   settings.push_back(incumbent);
   for (int p = 0; p < 3; ++p) {
@@ -213,6 +219,101 @@ void fuzz_evaluator(Rng& rng) {
   }
 }
 
+/// Layer 4 objective: the optimizer's objective shapes over one evaluator.
+/// Phase-1 shape scores K_normal; Phase-2 shape patches a probe once and
+/// sweeps its failure set from it under the incumbent's abort bound, with a
+/// Phi_normal cap as its constraint. Both promote every adopted setting.
+class FuzzObjective final : public SearchObjective {
+ public:
+  FuzzObjective(const Evaluator& ev, std::vector<FailureScenario> scenarios, double phi_cap)
+      : ev_(ev), scenarios_(std::move(scenarios)), phi_cap_(phi_cap) {}
+
+  std::optional<CostPair> evaluate(const WeightSetting& w,
+                                   const CostPair* incumbent) override {
+    if (scenarios_.empty()) return ev_.evaluate(w).cost();
+    const EvalProbe probe = ev_.probe(w);
+    if (probe.cost().phi > phi_cap_) return std::nullopt;
+    return ev_.sweep(probe, scenarios_, {.abort_bound = incumbent}).cost();
+  }
+  void adopt(const WeightSetting& w) override { ev_.promote(w); }
+
+ private:
+  const Evaluator& ev_;
+  std::vector<FailureScenario> scenarios_;
+  double phi_cap_;
+};
+
+struct SearchTrace {
+  std::vector<MoveRecord> moves;
+  std::vector<CostPair> samples;  ///< exact-mode samples, in probe order
+  LocalSearch::Result result;
+};
+
+SearchTrace run_search(const Evaluator& ev, const std::vector<FailureScenario>& scenarios,
+                       const WeightSetting& initial, double phi_cap, std::uint64_t seed,
+                       ThreadPool* pool) {
+  SearchTrace trace;
+  FuzzObjective objective(ev, scenarios, phi_cap);
+  LocalSearch search({{3, 2, 0.01, 0, 6}, 20, seed, pool});
+  search.set_on_move([&](const MoveRecord& m) { trace.moves.push_back(m); });
+  // Exact-mode criticality samples: the candidate under its own link's
+  // failure, which the anchored evaluator serves from the incumbent's anchor.
+  search.set_observer([&](const PerturbationEvent& e) {
+    if (e.link % 3 == 0)
+      trace.samples.push_back(ev.evaluate(*e.candidate, FailureScenario::link(e.link)).cost());
+  });
+  trace.result = search.run(objective, initial);
+  return trace;
+}
+
+bool same_costs(const CostPair& a, const CostPair& b) {
+  return std::memcmp(&a.lambda, &b.lambda, sizeof(double)) == 0 &&
+         std::memcmp(&a.phi, &b.phi, sizeof(double)) == 0;
+}
+
+/// Layer 4: seeded local searches, anchored vs full recompute.
+void fuzz_search(Rng& rng) {
+  experiments::WorkloadSpec spec;
+  spec.kind = experiments::TopologyKind::kRand;
+  spec.nodes = rng.uniform_int(8, 12);
+  spec.degree = 3.0 + static_cast<double>(rng.uniform_int(0, 15)) / 10.0;
+  spec.seed = rng.split().seed();
+  const experiments::Workload w = experiments::make_workload(spec);
+  const int num_links = static_cast<int>(w.graph.num_links());
+  WeightSetting initial(w.graph.num_links());
+  randomize_weights(initial, 20, rng);
+  const std::uint64_t seed = rng.split().seed();
+  std::vector<FailureScenario> critical;
+  for (int i = 0, k = rng.uniform_int(2, 4); i < k; ++i)
+    critical.push_back(
+        FailureScenario::link(static_cast<LinkId>(rng.uniform_int(0, num_links - 1))));
+
+  ThreadPool pool(3);
+  for (const bool phase2 : {false, true}) {
+    const std::vector<FailureScenario> scenarios =
+        phase2 ? critical : std::vector<FailureScenario>{};
+    const Evaluator anchored(w.graph, w.traffic, w.params, {});
+    const Evaluator full(w.graph, w.traffic, w.params, {.incremental = false});
+    const double phi_cap = 1.2 * full.evaluate(initial).phi;  // initial is feasible
+    const SearchTrace a =
+        run_search(anchored, scenarios, initial, phi_cap, seed, phase2 ? nullptr : &pool);
+    const SearchTrace b = run_search(full, scenarios, initial, phi_cap, seed, nullptr);
+    const std::string shape = phase2 ? "phase-2 shape" : "phase-1 shape";
+    bool same = a.moves.size() == b.moves.size() && a.samples.size() == b.samples.size() &&
+                a.result.best == b.result.best &&
+                same_costs(a.result.best_cost, b.result.best_cost) &&
+                a.result.evaluations == b.result.evaluations;
+    for (std::size_t i = 0; same && i < a.moves.size(); ++i)
+      same = a.moves[i].iteration == b.moves[i].iteration &&
+             a.moves[i].evaluations == b.moves[i].evaluations &&
+             a.moves[i].link == b.moves[i].link && a.moves[i].restart == b.moves[i].restart &&
+             same_costs(a.moves[i].cost, b.moves[i].cost);
+    for (std::size_t i = 0; same && i < a.samples.size(); ++i)
+      same = same_costs(a.samples[i], b.samples[i]);
+    if (!same) report_divergence("local search", shape);
+  }
+}
+
 }  // namespace
 }  // namespace dtr
 
@@ -244,6 +345,7 @@ int main(int argc, char** argv) {
     ++dtr::g_iteration;
     dtr::fuzz_delta_spf(rng);
     dtr::fuzz_evaluator(rng);
+    dtr::fuzz_search(rng);
   }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

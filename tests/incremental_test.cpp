@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "core/metrics.h"
+#include "experiments/workloads.h"
 #include "routing/evaluator.h"
 #include "routing/failures.h"
 #include "test_helpers.h"
@@ -162,22 +164,19 @@ TEST(IncrementalTest, ConfigDefaultsToIncremental) {
   const Evaluator ev(inst.graph, inst.traffic, inst.params);
   EXPECT_TRUE(ev.config().incremental);
   EXPECT_GT(ev.config().incremental_max_affected_fraction, 0.0);
-  EXPECT_TRUE(ev.config().base_routing_cache);
   EXPECT_TRUE(ev.config().incremental_delay);
-  EXPECT_GT(ev.config().base_cache_capacity, 0u);
   EXPECT_EQ(ev.config().weight_delta_max_links, 1u);
 }
 
 TEST(IncrementalTest, WeightDeltaDonorBaseMatchesScratchBuild) {
-  // Phase-1 probe shape: an incumbent's base is cached, then neighbors
-  // differing on one link are evaluated. The donor evaluator patches each
-  // probe's base from the incumbent (delta-SPF over the weight change); the
-  // reference evaluator builds every base from scratch. Every result —
-  // no-failure, every single link, a compound scenario, kFull detail — must
-  // be identical field for field.
+  // Phase-1 probe shape: an incumbent is anchored, then neighbors differing
+  // on one link are evaluated. The donor evaluator patches each probe's base
+  // from the anchor (delta-SPF over the weight change); the reference
+  // evaluator builds every base from scratch. Every result — no-failure,
+  // every single link, a compound scenario, kFull detail — must be identical
+  // field for field.
   const TestInstance inst = make_test_instance(12, 4.0, 57);
   EvaluatorConfig donor_cfg;
-  donor_cfg.base_cache_capacity = 64;  // keep the incumbent resident
   EvaluatorConfig scratch_cfg = donor_cfg;
   scratch_cfg.weight_delta_max_links = 0;
 
@@ -243,6 +242,56 @@ TEST(IncrementalTest, WeightDeltaDonorHandlesMultiLinkProbes) {
   EXPECT_GT(with_donor.base_cache_stats().weight_patched, 0u);
 }
 
+TEST(IncrementalTest, ProbeUnderItsOwnLinkFailureEqualsIncumbent) {
+  // A failed link's arcs carry no label and no load, so a probe that changes
+  // only link l evaluates under link(l)'s failure exactly like the incumbent:
+  // bit for bit on the full path, and the anchored evaluator serves it from
+  // the incumbent's anchor (a hit, no probe base) with the same bits. This is
+  // what lets Phase-1a exact-mode samples patch straight from the anchor.
+  const auto bits = [](const EvalResult& r) {
+    std::vector<double> v = {r.lambda, r.phi, static_cast<double>(r.sla_violations),
+                             static_cast<double>(r.disconnected_delay_pairs),
+                             static_cast<double>(r.disconnected_tput_pairs)};
+    v.insert(v.end(), r.arc_total_load.begin(), r.arc_total_load.end());
+    v.insert(v.end(), r.sd_delay_ms.begin(), r.sd_delay_ms.end());
+    return v;
+  };
+  const auto same_bits = [&](const EvalResult& a, const EvalResult& b) {
+    const std::vector<double> x = bits(a), y = bits(b);
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  experiments::WorkloadSpec isp;
+  isp.kind = experiments::TopologyKind::kIsp;
+  isp.isp_source = experiments::IspSource::kGenerated;
+  isp.nodes = 48;
+  isp.isp_pops = 6;
+  const TestInstance paper = make_test_instance(16, 4.0, 61);
+  const experiments::Workload generated = experiments::make_workload(isp);
+  for (const auto& [graph, traffic, params] :
+       {std::tie(paper.graph, paper.traffic, paper.params),
+        std::tie(generated.graph, generated.traffic, generated.params)}) {
+    const Evaluator anchored(graph, traffic, params, {});
+    const Evaluator full(graph, traffic, params, {.incremental = false});
+    const WeightSetting incumbent = random_weights(graph, 30, 67);
+    (void)anchored.evaluate(incumbent);
+    for (LinkId l = 0; l < graph.num_links(); ++l) {
+      WeightSetting candidate = incumbent;
+      candidate.set(TrafficClass::kDelay, l, 31 + static_cast<int>(l % 7));
+      candidate.set(TrafficClass::kThroughput, l, 1 + static_cast<int>(l % 5));
+      const FailureScenario scenario = FailureScenario::link(l);
+      const EvalResult want = full.evaluate(incumbent, scenario, EvalDetail::kFull);
+      EXPECT_TRUE(same_bits(full.evaluate(candidate, scenario, EvalDetail::kFull), want))
+          << "full path, link " << l;
+      const std::uint64_t hits = anchored.base_cache_stats().hits;
+      EXPECT_TRUE(same_bits(anchored.evaluate(candidate, scenario, EvalDetail::kFull), want))
+          << "anchored, link " << l;
+      EXPECT_EQ(anchored.base_cache_stats().hits, hits + 1);
+    }
+    EXPECT_EQ(anchored.base_cache_stats().weight_patched, 0u);
+  }
+}
+
 TEST(IncrementalTest, DelayDpBytesMatchFullDpAcrossInstances) {
   // The incremental end-to-end delay DP sweeps randomized topologies x all
   // single-link failures and must reproduce every SLA term — lambda,
@@ -284,8 +333,8 @@ TEST(IncrementalTest, DelayDpBytesMatchFullDpAcrossInstances) {
 }
 
 TEST(IncrementalTest, ConfigCornersProduceIdenticalProfiles) {
-  // Every {incremental, base-cache, delay-DP} corner x {1, 8 threads} must
-  // produce the same FailureProfile bytes — the campaign/golden contract.
+  // Every {incremental, delay-DP} corner x {1, 8 threads} must produce the
+  // same FailureProfile bytes — the campaign/golden contract.
   const TestInstance inst = make_test_instance(14, 4.0, 83);
   const std::vector<FailureScenario> scenarios = all_link_failures(inst.graph);
   const WeightSetting w = random_weights(inst.graph, 30, 97);
@@ -297,39 +346,31 @@ TEST(IncrementalTest, ConfigCornersProduceIdenticalProfiles) {
   const FailureProfile reference = profile_failures(reference_ev, w, scenarios, &one);
 
   for (const bool incremental : {false, true}) {
-    for (const bool base_cache : {false, true}) {
-      for (const bool delay_dp : {false, true}) {
-        const Evaluator ev(inst.graph, inst.traffic, inst.params,
-                           {.incremental = incremental,
-                            .base_routing_cache = base_cache,
-                            .incremental_delay = delay_dp});
-        expect_profile_bytes_identical(reference,
-                                       profile_failures(ev, w, scenarios, &one));
-        expect_profile_bytes_identical(reference,
-                                       profile_failures(ev, w, scenarios, &eight));
-        // Repeat through the now-warm cache: same bytes again.
-        expect_profile_bytes_identical(reference,
-                                       profile_failures(ev, w, scenarios, &eight));
-      }
+    for (const bool delay_dp : {false, true}) {
+      const Evaluator ev(inst.graph, inst.traffic, inst.params,
+                         {.incremental = incremental, .incremental_delay = delay_dp});
+      expect_profile_bytes_identical(reference, profile_failures(ev, w, scenarios, &one));
+      expect_profile_bytes_identical(reference, profile_failures(ev, w, scenarios, &eight));
+      // Repeat through the retained anchor: same bytes again.
+      expect_profile_bytes_identical(reference, profile_failures(ev, w, scenarios, &eight));
     }
   }
 }
 
 TEST(IncrementalTest, SingleEvaluationMatchesAcrossCacheStates) {
-  // evaluate() consults the cache: a failure evaluation served via the
-  // patched path (warm cache) must match the cold full path bit for bit,
-  // including kFull detail.
+  // evaluate() consults the anchor: a failure evaluation served via the
+  // patched path must match the cold full path bit for bit, including kFull
+  // detail.
   const TestInstance inst = make_test_instance(12, 4.0, 101);
   const Evaluator cached(inst.graph, inst.traffic, inst.params, {});
-  const Evaluator plain(inst.graph, inst.traffic, inst.params,
-                        {.incremental = false, .base_routing_cache = false});
+  const Evaluator plain(inst.graph, inst.traffic, inst.params, {.incremental = false});
   const WeightSetting w = random_weights(inst.graph, 30, 103);
 
-  // Warm the cache with the no-failure evaluation, then compare every
+  // Anchor the weights with the no-failure evaluation, then compare every
   // single-link failure and the no-failure evaluation itself.
   expect_results_identical(cached.evaluate(w, FailureScenario::none(), EvalDetail::kFull),
                            plain.evaluate(w, FailureScenario::none(), EvalDetail::kFull));
-  EXPECT_GE(cached.base_cache_size(), 1u);
+  EXPECT_GT(cached.base_bytes(), 0u);
   for (LinkId l = 0; l < inst.graph.num_links(); ++l) {
     const FailureScenario scenario = FailureScenario::link(l);
     expect_results_identical(cached.evaluate(w, scenario, EvalDetail::kFull),
