@@ -150,6 +150,58 @@ TEST(LocalSearchTest, RestartHookUsed) {
   EXPECT_NEAR(result.best_cost.lambda, 0.0, 1e-12);
 }
 
+/// CappedObjective that records every setting the search adopts.
+class AdoptRecordingObjective final : public SearchObjective {
+ public:
+  std::optional<CostPair> evaluate(const WeightSetting& w, const CostPair* bound) override {
+    return capped_.evaluate(w, bound);
+  }
+  void adopt(const WeightSetting& w) override { adopted.push_back(w); }
+  std::vector<WeightSetting> adopted;
+
+ private:
+  CappedObjective capped_{15};
+};
+
+TEST(LocalSearchTest, EveryProbeIsOneLinkOffTheLastAdoptedSetting) {
+  // The contract evaluator-backed objectives build on: adopt() sees the
+  // initial setting, every accept and restart adoption, and the fallback to
+  // the best setting when no restart is feasible, so each probe differs from
+  // the last adopted setting on exactly the probed link.
+  for (const bool feasible_restarts : {true, false}) {
+    AdoptRecordingObjective obj;
+    LocalSearch::Config config = quick_config(11);
+    config.phase = {2, 3, 0.5, 0};  // diversify often
+    LocalSearch search(config);
+    search.set_restart([&](Rng& rng) {
+      WeightSetting w(4);
+      randomize_weights(w, feasible_restarts ? 15 : 1, rng);
+      if (!feasible_restarts) w.set(TrafficClass::kDelay, 0, 16);  // over the cap
+      return w;
+    });
+    long probes = 0, accepted = 0;
+    search.set_observer([&](const PerturbationEvent& e) {
+      ++probes;
+      ASSERT_FALSE(obj.adopted.empty());
+      const WeightSetting& last = obj.adopted.back();
+      for (LinkId l = 0; l < 4; ++l) {
+        const bool same = e.candidate->get(TrafficClass::kDelay, l) ==
+                              last.get(TrafficClass::kDelay, l) &&
+                          e.candidate->get(TrafficClass::kThroughput, l) ==
+                              last.get(TrafficClass::kThroughput, l);
+        EXPECT_EQ(same, l != e.link) << "probe " << probes << ", link " << l;
+      }
+      if (e.accepted) ++accepted;
+    });
+    const WeightSetting initial(4, 5);
+    const auto result = search.run(obj, initial);
+    EXPECT_TRUE(obj.adopted.front() == initial);
+    EXPECT_GT(probes, 0);
+    EXPECT_GT(result.diversifications, 0);
+    EXPECT_GT(obj.adopted.size(), static_cast<std::size_t>(1 + accepted));
+  }
+}
+
 TEST(LocalSearchTest, DiversificationCountedAndBounded) {
   QuadraticObjective obj({1, 1}, {1, 1});
   LocalSearch::Config config = quick_config(7);
