@@ -170,9 +170,10 @@ TEST(BaseCacheTest, AcceptAndRestartAdoptionPromote) {
   const Evaluator ev(inst.graph, inst.traffic, inst.params, {});
   const WeightSetting incumbent = random_weights(inst.graph, 30, 41);
 
-  // Direct: an accepted probe is promoted (swapped in from its buffer), after
-  // which it is served by the anchor; a far restart point is built from
-  // scratch, anchors itself, and adopting it is a no-op.
+  // Direct: an accepted probe is promoted (re-patched with its replay
+  // records, as a Phase-1 probe carries none), after which the anchor serves
+  // it; a far restart point is built from scratch, anchors itself, and
+  // adopting it is a no-op.
   (void)ev.evaluate(incumbent);
   const WeightSetting accepted = one_link_probe(incumbent, 2);
   const EvalResult probed = ev.evaluate(accepted);
