@@ -189,7 +189,7 @@ long top_up_criticality_samples(const Evaluator& evaluator,
         } else {
           if (!probes[e]) probes[e] = evaluator.probe(entry.setting);
           pending.push_back({link, WeightSetting()});
-          jobs.push_back({&entry.setting, FailureScenario::link(link), &*probes[e]});
+          jobs.push_back({nullptr, FailureScenario::link(link), &*probes[e]});
         }
       }
       if (mode == SamplingMode::kEmulatedWeights) {
@@ -247,7 +247,7 @@ ScenarioCriticality estimate_scenario_criticality(
         const AcceptableStore::Entry& entry = *entries[e];
         if (!probes[e]) probes[e] = evaluator.probe(entry.setting);
         batch_index.push_back(index);
-        jobs.push_back({&entry.setting, scenarios[index], &*probes[e]});
+        jobs.push_back({nullptr, scenarios[index], &*probes[e]});
       }
       const std::vector<CostPair> costs = evaluator.evaluate_costs(jobs, pool);
       for (std::size_t i = 0; i < batch; ++i) {

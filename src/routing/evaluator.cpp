@@ -260,7 +260,7 @@ std::shared_ptr<EvalBase> Evaluator::acquire(const WeightSetting& w,
   if (arcs > 0) {
     ++st.stats.weight_patched;
     st.stats.arcs_updated += arcs;
-  } else {
+  } else if (buf->has_records) {
     st.install(buf);
   }
   return buf;
@@ -356,10 +356,15 @@ std::size_t Evaluator::fill_base(const WeightSetting& w, const EvalBase* from,
       return s.delay_changes.size() + s.tput_changes.size();
     }
   }
-  out.delay.compute(graph_, out.cost_delay, traffic_.delay, {}, {}, &out.delay_record);
-  out.tput.compute(graph_, out.cost_tput, traffic_.throughput, {}, {}, &out.tput_record);
-  out.has_records = true;
-  finish_base(out, nullptr, /*index=*/config_.incremental_delay);
+  // A scratch build becomes the anchor (acquire): it is a restart the search
+  // adopts next, so it records for the probes that will patch from it —
+  // unless nothing patches (max_links == 0) and the caller did not ask.
+  out.has_records = records || max_links > 0;
+  out.delay.compute(graph_, out.cost_delay, traffic_.delay, {}, {},
+                    out.has_records ? &out.delay_record : nullptr);
+  out.tput.compute(graph_, out.cost_tput, traffic_.throughput, {}, {},
+                   out.has_records ? &out.tput_record : nullptr);
+  finish_base(out, nullptr, /*index=*/out.has_records && config_.incremental_delay);
   return 0;
 }
 
@@ -630,45 +635,10 @@ std::vector<EvalResult> Evaluator::evaluate_failures(
 std::vector<CostPair> Evaluator::evaluate_costs(std::span<const EvalJob> jobs,
                                                 ThreadPool* pool) const {
   for (const EvalJob& job : jobs) {
-    if (job.weights == nullptr || job.weights->num_links() != graph_.num_links())
+    if (job.probe != nullptr ? job.probe->owner_ != this
+                             : job.weights == nullptr ||
+                                   job.weights->num_links() != graph_.num_links())
       throw std::invalid_argument("Evaluator::evaluate_costs: bad job weights");
-  }
-
-  // Jobs with a probe patch from its base. The rest usually reference a few
-  // distinct weight settings many times each: group them by pointer and
-  // acquire one base per distinct setting that has patchable failure jobs,
-  // so workers patch instead of recomputing. All of it happens on the
-  // calling thread before any parallelism, so which jobs ride the
-  // incremental path is independent of the execution shape.
-  std::vector<const EvalBase*> job_base(jobs.size(), nullptr);
-  std::vector<EvalProbe> held;
-  if (state_ != nullptr) {
-    std::vector<const WeightSetting*> distinct;
-    std::vector<std::uint8_t> patchable;
-    std::vector<std::size_t> group(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const bool patch = incremental_patchable(jobs[i].scenario);
-      if (jobs[i].probe != nullptr) {
-        job_base[i] = jobs[i].probe->base_.get();
-        continue;
-      }
-      std::size_t d = 0;
-      while (d < distinct.size() && distinct[d] != jobs[i].weights) ++d;
-      if (d == distinct.size()) {
-        distinct.push_back(jobs[i].weights);
-        patchable.push_back(0);
-      }
-      group[i] = d;
-      if (patch) patchable[d] = 1;
-    }
-    std::vector<const EvalBase*> group_base(distinct.size(), nullptr);
-    for (std::size_t d = 0; d < distinct.size(); ++d) {
-      if (patchable[d] == 0) continue;
-      held.push_back(bind(*distinct[d], true));
-      group_base[d] = held.back().base_.get();
-    }
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-      if (jobs[i].probe == nullptr) job_base[i] = group_base[group[i]];
   }
 
   telemetry::Registry* reg = telemetry::effective(config_.telemetry);
@@ -676,11 +646,15 @@ std::vector<CostPair> Evaluator::evaluate_costs(std::span<const EvalJob> jobs,
 
   std::vector<CostPair> out(jobs.size());
   parallel_for(pool, jobs.size(), [&](std::size_t, std::size_t i) {
+    // A job with a probe patches from its base; the rest take the full path.
+    const EvalProbe* probe = jobs[i].probe;
+    const WeightSetting& w = probe != nullptr ? probe->weights() : *jobs[i].weights;
     Scratch& s = worker_scratch();
-    jobs[i].weights->arc_costs(graph_, TrafficClass::kDelay, s.cost_delay);
-    jobs[i].weights->arc_costs(graph_, TrafficClass::kThroughput, s.cost_tput);
+    w.arc_costs(graph_, TrafficClass::kDelay, s.cost_delay);
+    w.arc_costs(graph_, TrafficClass::kThroughput, s.cost_tput);
     out[i] = evaluate_impl(s.cost_delay, s.cost_tput, jobs[i].scenario,
-                           EvalDetail::kCostsOnly, s, job_base[i],
+                           EvalDetail::kCostsOnly, s,
+                           probe != nullptr ? probe->base_.get() : nullptr,
                            slabs.empty() ? nullptr : &slabs[i])
                  .cost();
   });

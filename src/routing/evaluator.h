@@ -76,7 +76,8 @@ struct EvaluatorConfig {
   /// by the same argument as the failure patch path. This is the local
   /// search's probe accelerator: every probe changes ONE link's weights off
   /// the incumbent. Weights farther away are built from scratch and become
-  /// the new anchor. 0 disables patching.
+  /// the new anchor. 0 disables patching: a no-failure probe is then built
+  /// without replay records and leaves the anchor alone.
   std::size_t weight_delta_max_links = 1;
   /// Optional telemetry sink (borrowed; may be null). The BATCH entry points
   /// (evaluate_failures, evaluate_costs, sweep) fold their deterministic
@@ -187,12 +188,13 @@ class EvalProbe {
 };
 
 /// One unit of batched evaluation work: a weight setting under a failure
-/// scenario. `weights` (and `probe`) must outlive the batch call.
+/// scenario. The setting is `probe`'s when a probe is given — the job then
+/// patches from the probe's base — and `*weights` otherwise, evaluated from
+/// scratch. Either must outlive the batch call.
 struct EvalJob {
   const WeightSetting* weights = nullptr;
   FailureScenario scenario = FailureScenario::none();
-  /// Optional probe of `*weights` on the same evaluator: the job patches
-  /// from its base instead of one the call acquires.
+  /// Optional probe from the same evaluator; `weights` is ignored when set.
   const EvalProbe* probe = nullptr;
 };
 

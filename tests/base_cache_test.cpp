@@ -226,6 +226,74 @@ TEST(BaseCacheTest, ProbeBuffersStopAllocatingAfterWarmup) {
   probe_every_link(warm);
 }
 
+TEST(BaseCacheTest, PatchingOffProbesLeaveAnchorAlone) {
+  // With weight_delta_max_links = 0 nothing patches from the anchor, so a
+  // no-failure probe is built without replay records and stays a probe: the
+  // incumbent keeps serving its link failures, and only promote() records.
+  const TestInstance inst = make_test_instance(12, 4.0, 71);
+  const Evaluator ev(inst.graph, inst.traffic, inst.params, {.weight_delta_max_links = 0});
+  const Evaluator plain(inst.graph, inst.traffic, inst.params, {.incremental = false});
+  const WeightSetting incumbent = random_weights(inst.graph, 30, 73);
+  ev.promote(incumbent);
+  const std::size_t anchored = ev.base_bytes();
+
+  for (LinkId l = 0; l < inst.graph.num_links(); ++l) {
+    const WeightSetting probe = one_link_probe(incumbent, l);
+    expect_results_identical(ev.evaluate(probe), plain.evaluate(probe));
+    const std::uint64_t hits = ev.base_cache_stats().hits;
+    expect_results_identical(ev.evaluate(probe, FailureScenario::link(l)),
+                             plain.evaluate(incumbent, FailureScenario::link(l)));
+    EXPECT_EQ(ev.base_cache_stats().hits, hits + 1) << "link " << l;
+  }
+  EXPECT_EQ(ev.base_cache_stats().promotions, 1u);
+  EXPECT_EQ(ev.base_cache_stats().weight_patched, 0u);
+  EXPECT_LT(ev.base_bytes(), 2 * anchored);  // the probe buffer holds no records
+
+  const WeightSetting accepted = one_link_probe(incumbent, 1);
+  ev.promote(accepted);
+  EXPECT_EQ(ev.base_cache_stats().promotions, 2u);
+  const std::uint64_t hits = ev.base_cache_stats().hits;
+  expect_results_identical(ev.evaluate(accepted, FailureScenario::link(0)),
+                           plain.evaluate(accepted, FailureScenario::link(0)));
+  EXPECT_EQ(ev.base_cache_stats().hits, hits + 1);
+}
+
+TEST(BaseCacheTest, EvaluateCostsPatchesProbeJobsAndRecomputesTheRest) {
+  // The Phase-1b batch shape: exact-mode jobs name a probe and patch from its
+  // base; emulated jobs name bare weights and take the full path.
+  const TestInstance inst = make_test_instance(12, 4.0, 79);
+  telemetry::Registry reg;
+  const Evaluator ev(inst.graph, inst.traffic, inst.params, {.telemetry = &reg});
+  const Evaluator plain(inst.graph, inst.traffic, inst.params, {.incremental = false});
+  const WeightSetting a = random_weights(inst.graph, 30, 83);
+  const WeightSetting b = random_weights(inst.graph, 30, 89);
+  const EvalProbe pa = ev.probe(a);
+  const EvalProbe pb = ev.probe(b);
+  const WeightSetting perturbed = one_link_probe(a, 3);
+
+  std::vector<EvalJob> jobs;
+  std::vector<CostPair> want;
+  for (LinkId l = 0; l < inst.graph.num_links(); ++l) {
+    const EvalProbe& p = l % 2 == 0 ? pa : pb;
+    jobs.push_back({nullptr, FailureScenario::link(l), &p});
+    want.push_back(plain.evaluate(p.weights(), FailureScenario::link(l)).cost());
+    jobs.push_back({&perturbed, FailureScenario::none()});
+    want.push_back(plain.evaluate(perturbed).cost());
+  }
+  ThreadPool pool(3);
+  const std::vector<CostPair> got = ev.evaluate_costs(jobs, &pool);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(0, std::memcmp(&got[i], &want[i], sizeof(CostPair))) << "job " << i;
+  const telemetry::Snapshot det = reg.snapshot(telemetry::Plane::kDeterministic);
+  EXPECT_EQ(det.counter("eval.patched"), inst.graph.num_links());
+  EXPECT_EQ(det.counter("eval.full"), inst.graph.num_links());
+
+  const EvalProbe unbound;
+  const std::vector<EvalJob> bad = {{nullptr, FailureScenario::link(0), &unbound}};
+  EXPECT_THROW(ev.evaluate_costs(bad), std::invalid_argument);
+}
+
 TEST(BaseCacheTest, ExplicitInvalidationDropsAnchor) {
   const TestInstance inst = make_test_instance(10, 4.0, 31);
   const Evaluator ev(inst.graph, inst.traffic, inst.params, {});
