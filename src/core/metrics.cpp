@@ -104,27 +104,22 @@ double average_max_path_utilization(const Evaluator& evaluator, const WeightSett
 
   std::vector<double> dist;
   std::vector<double> max_util(n);
-  std::vector<NodeId> order;
+  TightDagWalk dag;
+  const GraphCsr& csr = g.csr();
   for (NodeId t = 0; t < n; ++t) {
     shortest_distances_to(g, t, cost_delay, {}, dist);
 
-    order.clear();
-    for (NodeId u = 0; u < n; ++u)
-      if (dist[u] != kInfDist) order.push_back(u);
-    std::sort(order.begin(), order.end(),
-              [&](NodeId a, NodeId b) { return dist[a] < dist[b]; });
-
-    std::fill(max_util.begin(), max_util.end(), 0.0);
-    const GraphCsr& csr = g.csr();
-    for (NodeId u : order) {
-      if (u == t) continue;
+    // Max over the DAG below the demand sources, every node after its
+    // tight successors.
+    dag.reset(n, t);
+    for (NodeId s = 0; s < n; ++s)
+      if (s != t && demands.at(s, t) > 0.0 && dist[s] != kInfDist)
+        dag.visit(csr, cost_delay, {}, dist, s);
+    max_util[t] = 0.0;
+    for (const NodeId u : dag.post_order()) {
       double best = 0.0;
-      for (std::uint32_t k = csr.out_offset[u]; k < csr.out_offset[u + 1]; ++k) {
-        const ArcId a = csr.out_arc[k];
-        const NodeId v = csr.out_head[k];
-        if (!arc_is_tight(u, v, cost_delay[a], dist)) continue;
-        best = std::max(best, std::max(normal.arc_utilization[a], max_util[v]));
-      }
+      for (const TightDagWalk::TightArc& e : dag.tight_arcs(u))
+        best = std::max(best, std::max(normal.arc_utilization[e.arc], max_util[e.head]));
       max_util[u] = best;
     }
     for (NodeId s = 0; s < n; ++s) {

@@ -45,6 +45,45 @@ bool arc_is_tight(const Arc& arc, double cost, std::span<const double> dist) {
   return arc_is_tight(arc.src, arc.dst, cost, dist);
 }
 
+void TightDagWalk::reset(std::size_t num_nodes, NodeId t) {
+  range_.assign(num_nodes, {kUnvisited, kUnvisited});
+  range_[t] = {0, 0};  // the sink: visited, no out-arcs
+  arcs_.clear();
+  post_.clear();
+}
+
+void TightDagWalk::visit(const GraphCsr& csr, std::span<const double> arc_cost,
+                         ArcAliveMask alive_mask, std::span<const double> dist,
+                         NodeId root) {
+  // Collects u's tight out-arcs (the only tightness test u's arcs get in
+  // this walk) and opens its frame.
+  const auto expand = [&](NodeId u) {
+    const auto begin = static_cast<std::uint32_t>(arcs_.size());
+    for (std::uint32_t k = csr.out_offset[u]; k < csr.out_offset[u + 1]; ++k) {
+      const ArcId a = csr.out_arc[k];
+      const NodeId v = csr.out_head[k];
+      if (alive(alive_mask, a) && arc_is_tight(u, v, arc_cost[a], dist))
+        arcs_.push_back({a, v});
+    }
+    range_[u] = {begin, static_cast<std::uint32_t>(arcs_.size())};
+    stack_.push_back({u, begin});
+  };
+  if (range_[root].begin != kUnvisited) return;
+  expand(root);
+  while (!stack_.empty()) {
+    Frame& top = stack_.back();
+    if (top.next == range_[top.node].end) {
+      post_.push_back(top.node);
+      stack_.pop_back();
+      continue;
+    }
+    // Positive costs make the tight graph acyclic; the visited test also
+    // keeps a zero-cost tight cycle from looping.
+    const NodeId v = arcs_[top.next++].head;
+    if (range_[v].begin == kUnvisited) expand(v);
+  }
+}
+
 std::vector<std::vector<NodeId>> enumerate_ecmp_paths(
     const Graph& g, std::span<const double> arc_cost, NodeId s, NodeId t,
     ArcAliveMask alive_mask, std::size_t max_paths) {
@@ -419,46 +458,37 @@ void ClassRouting::delay_dp_destination(const Graph& g, std::span<const double> 
                                         std::span<const double> arc_delay_ms,
                                         const TrafficMatrix& demands, SlaDelayMode mode,
                                         std::span<const NodeId> skip_nodes, NodeId t,
-                                        std::vector<double>& node_delay,
-                                        std::vector<NodeId>& order,
+                                        std::vector<double>& node_delay, TightDagWalk& dag,
                                         std::vector<double>& out,
                                         DelayDpIndex* record) const {
   const std::size_t n = g.num_nodes();
   const auto& dist = dist_[t];
+  const GraphCsr& csr = g.csr();
 
-  bool any_demand = false;
-  for (NodeId s = 0; s < n && !any_demand; ++s)
-    any_demand = (s != t && !is_skipped(skip_nodes, s) && demands.at(s, t) > 0.0);
-  if (!any_demand) return;
+  // The DAG below the connected demand sources is all the DP reads.
+  dag.reset(n, t);
+  for (NodeId s = 0; s < n; ++s) {
+    if (s == t || is_skipped(skip_nodes, s) || demands.at(s, t) <= 0.0) continue;
+    if (dist[s] != kInfDist) dag.visit(csr, arc_cost, alive_mask, dist, s);
+  }
 
-  // DP over the shortest-path DAG in increasing distance order:
+  // DP in post-order (every node after its tight successors):
   //   expected: E[u] = sum_k (1/k)(D_a + E[dst_a]) over tight arcs
   //   worst:    W[u] = max_a (D_a + W[dst_a])
-  order.clear();
-  for (NodeId u = 0; u < n; ++u)
-    if (dist[u] != kInfDist) order.push_back(u);
-  std::sort(order.begin(), order.end(),
-            [&](NodeId a, NodeId b) { return dist[a] < dist[b]; });
-
-  const GraphCsr& csr = g.csr();
-  std::fill(node_delay.begin(), node_delay.end(), 0.0);
-  for (NodeId u : order) {
-    if (u == t) continue;
-    int tight_count = 0;
+  node_delay[t] = 0.0;
+  for (const NodeId u : dag.post_order()) {
+    const std::span<const TightDagWalk::TightArc> tight = dag.tight_arcs(u);
     double acc = (mode == SlaDelayMode::kWorstPath) ? -kInfDist : 0.0;
-    for (std::uint32_t k = csr.out_offset[u]; k < csr.out_offset[u + 1]; ++k) {
-      const ArcId a = csr.out_arc[k];
-      const NodeId v = csr.out_head[k];
-      if (!alive(alive_mask, a) || !arc_is_tight(u, v, arc_cost[a], dist)) continue;
-      ++tight_count;
-      if (record != nullptr) record->add(t, a);
-      const double through = arc_delay_ms[a] + node_delay[v];
+    for (const TightDagWalk::TightArc& e : tight) {
+      if (record != nullptr) record->add(t, e.arc);
+      const double through = arc_delay_ms[e.arc] + node_delay[e.head];
       if (mode == SlaDelayMode::kWorstPath) {
         acc = std::max(acc, through);
       } else {
         acc += through;
       }
     }
+    const int tight_count = static_cast<int>(tight.size());
     node_delay[u] = (mode == SlaDelayMode::kWorstPath)
                         ? acc
                         : (tight_count > 0 ? acc / tight_count : 0.0);
@@ -486,12 +516,12 @@ void ClassRouting::end_to_end_delays(const Graph& g, std::span<const double> arc
   if (record != nullptr) record->reset(g.num_arcs());
 
   std::vector<double> node_delay(n);
-  std::vector<NodeId> order(n);
+  TightDagWalk dag;
 
   for (NodeId t = 0; t < n; ++t) {
     if (is_skipped(skip_nodes, t)) continue;
     delay_dp_destination(g, arc_cost, alive_mask, arc_delay_ms, demands, mode,
-                         skip_nodes, t, node_delay, order, out, record);
+                         skip_nodes, t, node_delay, dag, out, record);
   }
   if (record != nullptr) record->finalize();
 }
@@ -532,7 +562,7 @@ void ClassRouting::end_to_end_delays_from_base(
       ++scratch.stats_.delay_cols_replayed;
     } else {
       delay_dp_destination(g, arc_cost, alive_mask, arc_delay_ms, demands, mode, {}, t,
-                           scratch.node_delay_, scratch.order_, out, nullptr);
+                           scratch.node_delay_, scratch.dag_, out, nullptr);
       ++scratch.stats_.delay_cols_recomputed;
     }
   }

@@ -78,6 +78,60 @@ struct PatchStats {
   void merge(const PatchStats& o);
 };
 
+/// One destination's tight (ECMP shortest-path) DAG, discovered by a
+/// depth-first walk along alive tight out-arcs from caller-chosen roots.
+/// Every visited node's out-arcs are tested for tightness exactly once and
+/// its tight ones kept in CSR order, so the consumers need neither a distance
+/// sort nor a second tightness scan:
+///   - post_order() lists every node after all of its tight successors (the
+///     delay and path-utilization DPs read their successors' values);
+///   - reversed, it lists every node after all of its DAG predecessors among
+///     the visited nodes (the load sweep pushes flow downstream).
+/// The order is a pure function of the graph, labels and root sequence. The
+/// destination itself is a sink: never expanded and never listed. Buffers
+/// are reused across walks; no state survives reset().
+class TightDagWalk {
+ public:
+  struct TightArc {
+    ArcId arc;
+    NodeId head;
+  };
+
+  /// Starts a new walk toward `t` over `num_nodes` nodes.
+  void reset(std::size_t num_nodes, NodeId t);
+
+  /// Walks the DAG below `root` (a no-op when it was already visited),
+  /// appending each newly finished node to post_order().
+  void visit(const GraphCsr& csr, std::span<const double> arc_cost, ArcAliveMask alive,
+             std::span<const double> dist, NodeId root);
+
+  std::span<const NodeId> post_order() const { return post_; }
+
+  /// Tight out-arcs of a visited node, in CSR (ascending arc id) order.
+  std::span<const TightArc> tight_arcs(NodeId u) const {
+    return {arcs_.data() + range_[u].begin, arcs_.data() + range_[u].end};
+  }
+
+  std::size_t memory_bytes() const {
+    return heap_bytes(range_) + heap_bytes(arcs_) + heap_bytes(post_) + heap_bytes(stack_);
+  }
+
+ private:
+  static constexpr std::uint32_t kUnvisited = ~std::uint32_t{0};
+  struct Range {
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+  struct Frame {
+    NodeId node;
+    std::uint32_t next;  ///< next entry of arcs_ to descend along
+  };
+  std::vector<Range> range_;  ///< per node; begin == kUnvisited until reached
+  std::vector<TightArc> arcs_;
+  std::vector<NodeId> post_;
+  std::vector<Frame> stack_;
+};
+
 /// Reusable per-worker scratch for ClassRouting::compute_from_base and
 /// end_to_end_delays_from_base (delta-SPF buffers plus the incremental delay
 /// DP's dirty bitmap and per-destination DP buffers). One instance per worker
@@ -98,7 +152,7 @@ class FailureScratch {
   DeltaSpfScratch spf_;
   std::vector<std::uint8_t> dirty_;
   std::vector<double> node_delay_;
-  std::vector<NodeId> order_;
+  TightDagWalk dag_;
   PatchStats stats_;
 };
 
@@ -107,8 +161,9 @@ class FailureScratch {
 /// shortest-path DAGs) and the per-arc loads of this class's demands.
 ///
 /// Load aggregation is the standard Fortz–Thorup sweep: per destination,
-/// process nodes in decreasing distance order and split each node's
-/// accumulated flow evenly across its tight out-arcs.
+/// process nodes in topological order of the shortest-path DAG (the reverse
+/// post-order of a TightDagWalk from the demand sources) and split each
+/// node's accumulated flow evenly across its tight out-arcs.
 class ClassRouting {
  public:
   /// `skip_nodes`: demands sourced or sunk at any of these nodes are ignored
@@ -251,8 +306,10 @@ class ClassRouting {
 
  private:
   /// Seeds the demands toward `t` (counting its disconnected demand as a
-  /// per-destination subtotal) and runs the decreasing-distance ECMP load
-  /// sweep over dist_[t]. Appends the destination's slices to `record` when
+  /// per-destination subtotal) and runs the ECMP load sweep over dist_[t]:
+  /// a TightDagWalk rooted at the seeded sources in ascending id, then flow
+  /// pushed in reverse post-order, so every node's accumulation order is
+  /// fully specified. Appends the destination's slices to `record` when
   /// given: the recorded shares are the applied ones. Shared by the full and
   /// incremental paths so their per-destination float operations are
   /// literally the same code.
@@ -261,16 +318,18 @@ class ClassRouting {
                          std::span<const NodeId> skip_nodes, NodeId t,
                          RoutingBaseRecord* record);
 
-  /// One destination's delay DP (demand check, increasing-distance order,
-  /// expected/worst accumulation). Shared by the full and incremental delay
-  /// paths so their per-destination float operations are literally the same
-  /// code. `node_delay` (size n) and `order` are caller scratch.
+  /// One destination's delay DP (expected/worst accumulation over the
+  /// post-order of a TightDagWalk rooted at the demand sources; each node's
+  /// terms are summed in CSR arc order, so the output does not depend on the
+  /// walk order). Shared by the full and incremental delay paths so their
+  /// per-destination float operations are literally the same code.
+  /// `node_delay` (size n) and `dag` are caller scratch.
   void delay_dp_destination(const Graph& g, std::span<const double> arc_cost,
                             ArcAliveMask alive_mask,
                             std::span<const double> arc_delay_ms,
                             const TrafficMatrix& demands, SlaDelayMode mode,
                             std::span<const NodeId> skip_nodes, NodeId t,
-                            std::vector<double>& node_delay, std::vector<NodeId>& order,
+                            std::vector<double>& node_delay, TightDagWalk& dag,
                             std::vector<double>& out, DelayDpIndex* record) const;
 
   std::vector<double> arc_load_;
