@@ -188,14 +188,15 @@ void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc
                                      RoutingBaseRecord* record) {
   const std::size_t n = g.num_nodes();
   const auto& dist = dist_[t];
+  const GraphCsr& csr = g.csr();
   std::vector<double>& node_flow = node_flow_;
-  std::vector<NodeId>& order = order_;
   node_flow.assign(n, 0.0);
 
-  // Seed node flows with the demands toward t. Disconnection is accumulated
-  // as a per-destination subtotal so the incremental path's replay adds the
-  // exact same float terms in the exact same grouping.
-  bool any_flow = false;
+  // Seed node flows with the demands toward t, rooting the DAG walk at each
+  // seeded source in ascending id. Disconnection is accumulated as a
+  // per-destination subtotal so the incremental path's replay adds the exact
+  // same float terms in the exact same grouping.
+  dag_.reset(n, t);
   std::uint32_t dest_disconnected = 0;
   double dest_volume = 0.0;
   for (NodeId s = 0; s < n; ++s) {
@@ -208,7 +209,7 @@ void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc
       continue;
     }
     node_flow[s] = d;
-    any_flow = true;
+    dag_.visit(csr, arc_cost, alive_mask, dist, s);
   }
   disconnected_ += dest_disconnected;
   disconnected_volume_ += dest_volume;
@@ -216,49 +217,30 @@ void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc
     record->disconnected.push_back(dest_disconnected);
     record->disconnected_volume.push_back(dest_volume);
   }
-  if (!any_flow) return;
 
-  // Process reachable nodes in decreasing distance; each node's flow splits
-  // evenly over its tight out-arcs.
-  order.clear();
-  for (NodeId u = 0; u < n; ++u)
-    if (u != t && dist[u] != kInfDist) order.push_back(u);
-  std::sort(order.begin(), order.end(),
-            [&](NodeId a, NodeId b) { return dist[a] > dist[b]; });
-
-  // CSR sweep: both passes stream the contiguous out-arc span of u (same
-  // ascending-arc-id order as the legacy per-node vectors — same float
-  // accumulation order, bit-identical loads).
-  const GraphCsr& csr = g.csr();
-  for (NodeId u : order) {
+  // Reverse post-order reaches every node after all of its upstream nodes,
+  // so its flow is complete; it splits evenly over its tight out-arcs (in
+  // CSR order).
+  const std::span<const NodeId> post = dag_.post_order();
+  for (auto it = post.rbegin(); it != post.rend(); ++it) {
+    const NodeId u = *it;
     const double flow = node_flow[u];
     if (flow <= 0.0) continue;
-    const std::uint32_t begin = csr.out_offset[u];
-    const std::uint32_t end = csr.out_offset[u + 1];
-    int tight_count = 0;
-    for (std::uint32_t k = begin; k < end; ++k) {
-      const ArcId a = csr.out_arc[k];
-      if (alive(alive_mask, a) && arc_is_tight(u, csr.out_head[k], arc_cost[a], dist))
-        ++tight_count;
-    }
-    if (tight_count == 0) {
+    const std::span<const TightDagWalk::TightArc> tight = dag_.tight_arcs(u);
+    if (tight.empty()) {
       // Cannot happen for finite-dist nodes (a tight arc realizes dist),
       // but guard against inconsistent masks.
       throw std::logic_error("ClassRouting: node with flow has no tight out-arc");
     }
-    const double share = flow / tight_count;
-    for (std::uint32_t k = begin; k < end; ++k) {
-      const ArcId a = csr.out_arc[k];
-      const NodeId v = csr.out_head[k];
-      if (!alive(alive_mask, a) || !arc_is_tight(u, v, arc_cost[a], dist)) continue;
-      arc_load_[a] += share;
-      node_flow[v] += share;
+    const double share = flow / static_cast<int>(tight.size());
+    for (const TightDagWalk::TightArc& e : tight) {
+      arc_load_[e.arc] += share;
+      node_flow[e.head] += share;
       if (record != nullptr) {
-        record->contrib_arc.push_back(a);
+        record->contrib_arc.push_back(e.arc);
         record->contrib_val.push_back(share);
       }
     }
-    node_flow[u] = 0.0;
   }
 }
 

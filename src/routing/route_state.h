@@ -249,7 +249,7 @@ class ClassRouting {
   /// Heap bytes of the labels, loads and sweep buffers.
   std::size_t memory_bytes() const {
     return heap_bytes(arc_load_) + heap_bytes(dist_) + heap_bytes(replayed_) +
-           heap_bytes(node_flow_) + heap_bytes(order_);
+           heap_bytes(node_flow_) + dag_.memory_bytes();
   }
   double arc_load(ArcId a) const { return arc_load_[a]; }
 
@@ -339,7 +339,7 @@ class ClassRouting {
   std::vector<std::uint8_t> replayed_;  ///< see replayed_destinations()
   // compute() scratch, kept to avoid reallocation across evaluations.
   std::vector<double> node_flow_;
-  std::vector<NodeId> order_;
+  TightDagWalk dag_;
 };
 
 /// Tight-arc test: arc a lies on a shortest path toward t (distance labels
