@@ -13,7 +13,9 @@
 ///      compound scenarios, node failures) incremental vs full;
 ///   3. weight-delta probe patching (Phase-1 probe shape: neighbors of an
 ///      anchored incumbent) vs scratch-built bases, plus the cross-trial
-///      shared-labels path of evaluate_fluctuations vs per-trial evaluators;
+///      shared-labels path of evaluate_fluctuations vs per-trial evaluators.
+///      Layers 2-3 also run a tie leg with all-equal or {1,2} weights, where
+///      equal-distance nodes and multi-arc ECMP splits are everywhere;
 ///   4. a short seeded LocalSearch (Phase-1 and Phase-2 objective shapes,
 ///      speculative probing, promotion on accept and restart, exact-mode
 ///      failure samples) through the anchored evaluator vs the full one:
@@ -23,6 +25,7 @@
 /// Exit code 0 = no divergence inside the budget; 1 = divergence (a repro
 /// line with the seed and iteration is printed first).
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -132,7 +135,9 @@ void fuzz_delta_spf(Rng& rng) {
 }
 
 /// Layers 2+3: full evaluation stack — scenarios and weight-delta donors.
-void fuzz_evaluator(Rng& rng) {
+/// The incumbent's weights are drawn from [1, wmax] and probe weights from
+/// [1, max(wmax, 2)], so wmax = 1 starts from all-equal weights.
+void fuzz_evaluator(Rng& rng, int wmax) {
   experiments::WorkloadSpec spec;
   spec.kind = experiments::TopologyKind::kRand;
   spec.nodes = rng.uniform_int(8, 14);
@@ -148,7 +153,7 @@ void fuzz_evaluator(Rng& rng) {
   const Evaluator full(w.graph, w.traffic, w.params, full_cfg);
 
   WeightSetting incumbent(w.graph.num_links());
-  randomize_weights(incumbent, 20, rng);
+  randomize_weights(incumbent, wmax, rng);
 
   // Scenario soup: the none case, random links, a pair, a links-only
   // compound, and a node failure (always full path — both sides must agree
@@ -181,7 +186,7 @@ void fuzz_evaluator(Rng& rng) {
       const LinkId l = static_cast<LinkId>(rng.uniform_int(0, num_links - 1));
       const TrafficClass cls =
           rng.uniform_int(0, 1) == 0 ? TrafficClass::kDelay : TrafficClass::kThroughput;
-      probe.set(cls, l, rng.uniform_int(1, 20));
+      probe.set(cls, l, rng.uniform_int(1, std::max(wmax, 2)));
     }
     settings.push_back(probe);
   }
@@ -191,7 +196,8 @@ void fuzz_evaluator(Rng& rng) {
       const EvalResult a = fast.evaluate(settings[s], scenarios[i], EvalDetail::kFull);
       const EvalResult b = full.evaluate(settings[s], scenarios[i], EvalDetail::kFull);
       if (!results_identical(a, b))
-        report_divergence("evaluate", "setting " + std::to_string(s) + " scenario " +
+        report_divergence("evaluate", "wmax " + std::to_string(wmax) + " setting " +
+                                          std::to_string(s) + " scenario " +
                                           std::to_string(i) + " (" +
                                           to_string(scenarios[i]) + ")");
     }
@@ -215,7 +221,8 @@ void fuzz_evaluator(Rng& rng) {
         !bytes_equal(shared[r].std_violations, reference[r].std_violations) ||
         !bytes_equal(shared[r].mean_phi, reference[r].mean_phi) ||
         !bytes_equal(shared[r].std_phi, reference[r].std_phi))
-      report_divergence("evaluate_fluctuations", "routing " + std::to_string(r));
+      report_divergence("evaluate_fluctuations",
+                        "wmax " + std::to_string(wmax) + " routing " + std::to_string(r));
   }
 }
 
@@ -344,7 +351,8 @@ int main(int argc, char** argv) {
   while (std::chrono::steady_clock::now() < deadline && dtr::g_failures == 0) {
     ++dtr::g_iteration;
     dtr::fuzz_delta_spf(rng);
-    dtr::fuzz_evaluator(rng);
+    dtr::fuzz_evaluator(rng, 20);
+    dtr::fuzz_evaluator(rng, rng.uniform_int(1, 2));  // tie leg
     dtr::fuzz_search(rng);
   }
   const double elapsed =

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
 
+#include "graph/isp.h"
+#include "graph/spf.h"
 #include "graph/topology.h"
 #include "routing/failures.h"
 #include "routing/route_state.h"
@@ -259,6 +265,224 @@ TEST(EndToEndDelayTest, DisconnectedIsInfinite) {
   r.end_to_end_delays(g, costs, {}, arc_delay, tm, SlaDelayMode::kExpected, {},
                       out);
   EXPECT_EQ(out[0 * 3 + 2], kInfDist);
+}
+
+// ------------------------------------------------------------ tight-DAG walk oracles
+//
+// The load sweep and the delay DP walk each destination's tight DAG instead
+// of sorting nodes by distance. The references below are the sort-based
+// formulations (distance order, ties broken by node id), checked on graphs
+// where equal-distance nodes are everywhere: unit-weight grids and a
+// generated ISP graph under all-equal and {1,2} weights.
+
+/// rows x cols 4-neighbour grid.
+Graph make_grid(int rows, int cols) {
+  Graph g(static_cast<std::size_t>(rows * cols));
+  const auto id = [cols](int r, int c) { return static_cast<NodeId>(r * cols + c); };
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      if (c + 1 < cols) g.add_link(id(r, c), id(r, c + 1), 100.0, 1.0);
+      if (r + 1 < rows) g.add_link(id(r, c), id(r + 1, c), 100.0, 1.0);
+    }
+  }
+  return g;
+}
+
+/// Nodes with finite dist, by distance (ascending or descending), ties by id.
+std::vector<NodeId> distance_order(std::span<const double> dist, bool descending) {
+  std::vector<NodeId> order;
+  for (NodeId u = 0; u < dist.size(); ++u)
+    if (dist[u] != kInfDist) order.push_back(u);
+  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+    return descending ? dist[a] > dist[b] : dist[a] < dist[b];
+  });
+  return order;
+}
+
+bool is_tight(const Graph& g, std::span<const double> costs, ArcAliveMask alive,
+              std::span<const double> dist, ArcId a) {
+  return (alive.empty() || alive[a] != 0) && arc_is_tight(g.arc(a), costs[a], dist);
+}
+
+/// Sort-based reference of ClassRouting's loads.
+std::vector<double> reference_loads(const Graph& g, std::span<const double> costs,
+                                    const TrafficMatrix& tm, ArcAliveMask alive,
+                                    const ClassRouting& r) {
+  const std::size_t n = g.num_nodes();
+  std::vector<double> load(g.num_arcs(), 0.0);
+  for (NodeId t = 0; t < n; ++t) {
+    const std::vector<double>& dist = r.distances()[t];
+    std::vector<double> flow(n, 0.0);
+    for (NodeId s = 0; s < n; ++s)
+      if (s != t && dist[s] != kInfDist) flow[s] = tm.at(s, t);
+    for (const NodeId u : distance_order(dist, /*descending=*/true)) {
+      if (u == t || flow[u] <= 0.0) continue;
+      int k = 0;
+      for (ArcId a : g.out_arcs(u)) k += is_tight(g, costs, alive, dist, a) ? 1 : 0;
+      for (ArcId a : g.out_arcs(u)) {
+        if (!is_tight(g, costs, alive, dist, a)) continue;
+        load[a] += flow[u] / k;
+        flow[g.arc(a).dst] += flow[u] / k;
+      }
+    }
+  }
+  return load;
+}
+
+/// Sort-based reference of ClassRouting::end_to_end_delays.
+std::vector<double> reference_delays(const Graph& g, std::span<const double> costs,
+                                     ArcAliveMask alive, std::span<const double> arc_delay,
+                                     const TrafficMatrix& tm, SlaDelayMode mode,
+                                     const ClassRouting& r) {
+  const std::size_t n = g.num_nodes();
+  std::vector<double> out(n * n, -1.0);
+  for (NodeId t = 0; t < n; ++t) {
+    const std::vector<double>& dist = r.distances()[t];
+    std::vector<double> node_delay(n, 0.0);
+    for (const NodeId u : distance_order(dist, /*descending=*/false)) {
+      if (u == t) continue;
+      int k = 0;
+      double acc = mode == SlaDelayMode::kWorstPath ? -kInfDist : 0.0;
+      for (ArcId a : g.out_arcs(u)) {
+        if (!is_tight(g, costs, alive, dist, a)) continue;
+        ++k;
+        const double through = arc_delay[a] + node_delay[g.arc(a).dst];
+        acc = mode == SlaDelayMode::kWorstPath ? std::max(acc, through) : acc + through;
+      }
+      node_delay[u] = mode == SlaDelayMode::kWorstPath ? acc : (k > 0 ? acc / k : 0.0);
+    }
+    for (NodeId s = 0; s < n; ++s)
+      if (s != t && tm.at(s, t) > 0.0)
+        out[static_cast<std::size_t>(s) * n + t] =
+            dist[s] == kInfDist ? kInfDist : node_delay[s];
+  }
+  return out;
+}
+
+struct TieCase {
+  std::string name;
+  Graph graph;
+  std::vector<double> costs;
+};
+
+std::vector<TieCase> tie_heavy_cases() {
+  std::vector<TieCase> cases;
+  const Graph grid = make_grid(6, 7);
+  cases.push_back({"grid6x7/unit", grid, std::vector<double>(grid.num_arcs(), 1.0)});
+  IspGenParams isp;
+  isp.num_nodes = 60;
+  isp.num_pops = 6;
+  isp.seed = 3;
+  const Graph isp_graph = make_isp_topo(isp);
+  cases.push_back({"isp60/unit", isp_graph, std::vector<double>(isp_graph.num_arcs(), 1.0)});
+  std::vector<double> one_two(isp_graph.num_arcs());
+  for (ArcId a = 0; a < isp_graph.num_arcs(); ++a)
+    one_two[a] = 1.0 + static_cast<double>(isp_graph.arc(a).link % 2);
+  cases.push_back({"isp60/{1,2}", isp_graph, one_two});
+  return cases;
+}
+
+TEST(TightDagWalkTest, PostOrderListsSuccessorsFirstWithTightArcsInCsrOrder) {
+  const Graph g = make_grid(4, 5);
+  const std::vector<double> costs(g.num_arcs(), 1.0);
+  const NodeId t = 7;
+  std::vector<double> dist;
+  shortest_distances_to(g, t, costs, {}, dist);
+  TightDagWalk dag;
+  dag.reset(g.num_nodes(), t);
+  for (const NodeId root : {NodeId{19}, NodeId{0}, NodeId{12}})
+    dag.visit(g.csr(), costs, {}, dist, root);
+
+  std::vector<int> position(g.num_nodes(), -1);
+  const std::span<const NodeId> post = dag.post_order();
+  for (std::size_t i = 0; i < post.size(); ++i) {
+    EXPECT_EQ(position[post[i]], -1) << "node listed twice";
+    EXPECT_NE(post[i], t) << "the destination is never listed";
+    position[post[i]] = static_cast<int>(i);
+  }
+  for (const NodeId u : post) {
+    std::vector<ArcId> expected;
+    for (ArcId a : g.out_arcs(u))
+      if (arc_is_tight(g.arc(a), costs[a], dist)) expected.push_back(a);
+    std::vector<ArcId> got;
+    for (const TightDagWalk::TightArc& e : dag.tight_arcs(u)) {
+      got.push_back(e.arc);
+      EXPECT_EQ(e.head, g.arc(e.arc).dst);
+      EXPECT_LT(position[e.head], position[u]) << "successor after " << u;  // t is -1
+    }
+    EXPECT_EQ(got, expected) << "node " << u;
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+  }
+  for (const NodeId root : {NodeId{19}, NodeId{0}, NodeId{12}})
+    EXPECT_GE(position[root], 0);
+}
+
+TEST(TightDagWalkTest, DelaysMatchSortedReferenceBitForBit) {
+  for (const TieCase& c : tie_heavy_cases()) {
+    const Graph& g = c.graph;
+    const TrafficMatrix tm = make_gravity_traffic(g, {1.0, 1.0, 11});
+    std::vector<double> arc_delay(g.num_arcs());
+    for (ArcId a = 0; a < g.num_arcs(); ++a)
+      arc_delay[a] = 0.3 + 0.01 * static_cast<double>((a * 7919u) % 101u);
+    // No failure, then one link down (alive mask on both sides).
+    std::vector<std::uint8_t> alive(g.num_arcs(), 1);
+    for (ArcId a : g.link_arcs(1)) alive[a] = 0;
+    for (const ArcAliveMask mask : {ArcAliveMask{}, ArcAliveMask{alive}}) {
+      const ClassRouting r(g, c.costs, tm, mask);
+      for (const SlaDelayMode mode : {SlaDelayMode::kExpected, SlaDelayMode::kWorstPath}) {
+        std::vector<double> got;
+        r.end_to_end_delays(g, c.costs, mask, arc_delay, tm, mode, {}, got);
+        const std::vector<double> want =
+            reference_delays(g, c.costs, mask, arc_delay, tm, mode, r);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+            << c.name << " mode " << static_cast<int>(mode) << " masked " << !mask.empty();
+      }
+    }
+  }
+}
+
+TEST(TightDagWalkTest, LoadsMatchSortedReferenceSweep) {
+  for (const TieCase& c : tie_heavy_cases()) {
+    const Graph& g = c.graph;
+    const TrafficMatrix tm = make_gravity_traffic(g, {1.0, 1.0, 5});
+    std::vector<std::uint8_t> alive(g.num_arcs(), 1);
+    for (ArcId a : g.link_arcs(2)) alive[a] = 0;
+    for (const ArcAliveMask mask : {ArcAliveMask{}, ArcAliveMask{alive}}) {
+      const ClassRouting r(g, c.costs, tm, mask);
+      const std::vector<double> want = reference_loads(g, c.costs, tm, mask, r);
+      double total = 0.0;
+      for (ArcId a = 0; a < g.num_arcs(); ++a) {
+        total += r.arc_load(a);
+        EXPECT_LE(std::abs(r.arc_load(a) - want[a]), 1e-12 * std::abs(want[a]))
+            << c.name << " arc " << a << " masked " << !mask.empty();
+      }
+      EXPECT_GT(total, 0.0) << c.name;
+    }
+  }
+}
+
+TEST(TightDagWalkTest, FlowWithoutTightArcStillThrows) {
+  // Labels computed with every arc alive, then swept under a mask that kills
+  // arcs those labels call tight: a node holding flow has no tight out-arc.
+  Graph g(3);
+  g.add_link(0, 1, 100.0, 1.0);
+  g.add_link(1, 2, 100.0, 1.0);
+  TrafficMatrix tm(3);
+  tm.set(0, 2, 5.0);
+  const std::vector<double> costs(g.num_arcs(), 1.0);
+  std::vector<std::vector<double>> labels(3);
+  for (NodeId t = 0; t < 3; ++t) shortest_distances_to(g, t, costs, {}, labels[t]);
+  for (const LinkId dead : {LinkId{0}, LinkId{1}}) {  // at the source / mid-path
+    std::vector<std::uint8_t> alive(g.num_arcs(), 1);
+    for (ArcId a : g.link_arcs(dead)) alive[a] = 0;
+    ClassRouting r;
+    EXPECT_THROW(r.compute_with_labels(g, costs, tm, alive, labels), std::logic_error)
+        << "dead link " << dead;
+  }
+  ClassRouting consistent;
+  EXPECT_NO_THROW(consistent.compute_with_labels(g, costs, tm, {}, labels));
+  EXPECT_DOUBLE_EQ(consistent.arc_load(g.link_arcs(1)[0]), 5.0);
 }
 
 // ------------------------------------------------------------ path enumeration
