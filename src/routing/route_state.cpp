@@ -52,9 +52,9 @@ void TightDagWalk::reset(std::size_t num_nodes, NodeId t) {
   post_.clear();
 }
 
-void TightDagWalk::visit(const GraphCsr& csr, std::span<const double> arc_cost,
-                         ArcAliveMask alive_mask, std::span<const double> dist,
-                         NodeId root) {
+void TightDagWalk::walk(const GraphCsr& csr, std::span<const double> arc_cost,
+                        ArcAliveMask alive_mask, std::span<const double> dist,
+                        NodeId root) {
   // Collects u's tight out-arcs (the only tightness test u's arcs get in
   // this walk) and opens its frame.
   const auto expand = [&](NodeId u) {
@@ -68,7 +68,6 @@ void TightDagWalk::visit(const GraphCsr& csr, std::span<const double> arc_cost,
     range_[u] = {begin, static_cast<std::uint32_t>(arcs_.size())};
     stack_.push_back({u, begin});
   };
-  if (range_[root].begin != kUnvisited) return;
   expand(root);
   while (!stack_.empty()) {
     Frame& top = stack_.back();

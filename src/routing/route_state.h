@@ -103,7 +103,9 @@ class TightDagWalk {
   /// Walks the DAG below `root` (a no-op when it was already visited),
   /// appending each newly finished node to post_order().
   void visit(const GraphCsr& csr, std::span<const double> arc_cost, ArcAliveMask alive,
-             std::span<const double> dist, NodeId root);
+             std::span<const double> dist, NodeId root) {
+    if (range_[root].begin == kUnvisited) walk(csr, arc_cost, alive, dist, root);
+  }
 
   std::span<const NodeId> post_order() const { return post_; }
 
@@ -118,6 +120,8 @@ class TightDagWalk {
 
  private:
   static constexpr std::uint32_t kUnvisited = ~std::uint32_t{0};
+  void walk(const GraphCsr& csr, std::span<const double> arc_cost, ArcAliveMask alive,
+            std::span<const double> dist, NodeId root);
   struct Range {
     std::uint32_t begin;
     std::uint32_t end;
