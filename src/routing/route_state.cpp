@@ -168,11 +168,12 @@ void ClassRouting::compute(const Graph& g, std::span<const double> arc_cost,
   disconnected_volume_ = 0.0;
   replayed_.clear();  // not a patched routing
   if (record != nullptr) record->reset(n);
+  TightDagWalk dag;
 
   for (NodeId t = 0; t < n; ++t) {
     shortest_distances_to(g, t, arc_cost, alive_mask, dist_[t]);
     if (!is_skipped(skip_nodes, t)) {
-      sweep_destination(g, arc_cost, demands, alive_mask, skip_nodes, t, record);
+      sweep_destination(g, arc_cost, demands, alive_mask, skip_nodes, t, dag, record);
     } else if (record != nullptr) {
       record->disconnected.push_back(0);
       record->disconnected_volume.push_back(0.0);
@@ -184,7 +185,7 @@ void ClassRouting::compute(const Graph& g, std::span<const double> arc_cost,
 void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc_cost,
                                      const TrafficMatrix& demands, ArcAliveMask alive_mask,
                                      std::span<const NodeId> skip_nodes, NodeId t,
-                                     RoutingBaseRecord* record) {
+                                     TightDagWalk& dag, RoutingBaseRecord* record) {
   const std::size_t n = g.num_nodes();
   const auto& dist = dist_[t];
   const GraphCsr& csr = g.csr();
@@ -195,7 +196,7 @@ void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc
   // seeded source in ascending id. Disconnection is accumulated as a
   // per-destination subtotal so the incremental path's replay adds the exact
   // same float terms in the exact same grouping.
-  dag_.reset(n, t);
+  dag.reset(n, t);
   std::uint32_t dest_disconnected = 0;
   double dest_volume = 0.0;
   for (NodeId s = 0; s < n; ++s) {
@@ -208,7 +209,7 @@ void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc
       continue;
     }
     node_flow[s] = d;
-    dag_.visit(csr, arc_cost, alive_mask, dist, s);
+    dag.visit(csr, arc_cost, alive_mask, dist, s);
   }
   disconnected_ += dest_disconnected;
   disconnected_volume_ += dest_volume;
@@ -220,12 +221,12 @@ void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc
   // Reverse post-order reaches every node after all of its upstream nodes,
   // so its flow is complete; it splits evenly over its tight out-arcs (in
   // CSR order).
-  const std::span<const NodeId> post = dag_.post_order();
+  const std::span<const NodeId> post = dag.post_order();
   for (auto it = post.rbegin(); it != post.rend(); ++it) {
     const NodeId u = *it;
     const double flow = node_flow[u];
     if (flow <= 0.0) continue;
-    const std::span<const TightDagWalk::TightArc> tight = dag_.tight_arcs(u);
+    const std::span<const TightDagWalk::TightArc> tight = dag.tight_arcs(u);
     if (tight.empty()) {
       // Cannot happen for finite-dist nodes (a tight arc realizes dist),
       // but guard against inconsistent masks.
@@ -298,7 +299,7 @@ void ClassRouting::compute_from_base(const Graph& g, std::span<const double> arc
       }
     }
     if (affected) {
-      sweep_destination(g, arc_cost, demands, alive_mask, {}, t, nullptr);
+      sweep_destination(g, arc_cost, demands, alive_mask, {}, t, scratch.dag_, nullptr);
       ++scratch.stats_.dests_resweep;
     } else {
       // Untouched DAG: replay the base contributions. Every accumulator
@@ -379,7 +380,7 @@ void ClassRouting::compute_from_weight_delta(const Graph& g,
     const std::size_t lo = record.contrib_offset[t];
     const std::size_t hi = record.contrib_offset[t + 1];
     if (affected) {
-      sweep_destination(g, arc_cost, demands, {}, {}, t, out_record);
+      sweep_destination(g, arc_cost, demands, {}, {}, t, scratch.dag_, out_record);
       ++scratch.stats_.dests_resweep;
     } else {
       // Untouched DAG: replay the base contributions. Every accumulator
@@ -424,13 +425,14 @@ void ClassRouting::compute_with_labels(const Graph& g, std::span<const double> a
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
   replayed_.clear();  // not a patched routing
+  TightDagWalk dag;
 
   for (NodeId t = 0; t < n; ++t) {
     if (labels[t].size() != n)
       throw std::invalid_argument("compute_with_labels: label column size mismatch");
     dist_[t] = labels[t];
     if (!is_skipped(skip_nodes, t))
-      sweep_destination(g, arc_cost, demands, alive_mask, skip_nodes, t, nullptr);
+      sweep_destination(g, arc_cost, demands, alive_mask, skip_nodes, t, dag, nullptr);
   }
 }
 

@@ -136,9 +136,10 @@ class TightDagWalk {
   std::vector<Frame> stack_;
 };
 
-/// Reusable per-worker scratch for ClassRouting::compute_from_base and
-/// end_to_end_delays_from_base (delta-SPF buffers plus the incremental delay
-/// DP's dirty bitmap and per-destination DP buffers). One instance per worker
+/// Reusable per-worker scratch for ClassRouting::compute_from_base,
+/// compute_from_weight_delta and end_to_end_delays_from_base (delta-SPF
+/// buffers, the tight-DAG walk their load sweeps and delay DP share, and the
+/// incremental delay DP's dirty bitmap and node delays). One instance per worker
 /// thread, reused across scenario evaluations to keep the incremental hot
 /// path allocation-free.
 class FailureScratch {
@@ -253,7 +254,7 @@ class ClassRouting {
   /// Heap bytes of the labels, loads and sweep buffers.
   std::size_t memory_bytes() const {
     return heap_bytes(arc_load_) + heap_bytes(dist_) + heap_bytes(replayed_) +
-           heap_bytes(node_flow_) + dag_.memory_bytes();
+           heap_bytes(node_flow_);
   }
   double arc_load(ArcId a) const { return arc_load_[a]; }
 
@@ -313,14 +314,16 @@ class ClassRouting {
   /// per-destination subtotal) and runs the ECMP load sweep over dist_[t]:
   /// a TightDagWalk rooted at the seeded sources in ascending id, then flow
   /// pushed in reverse post-order, so every node's accumulation order is
-  /// fully specified. Appends the destination's slices to `record` when
-  /// given: the recorded shares are the applied ones. Shared by the full and
-  /// incremental paths so their per-destination float operations are
-  /// literally the same code.
+  /// fully specified. `dag` is caller scratch: a local of the full paths,
+  /// the worker's FailureScratch on the incremental ones, so no routing
+  /// holds walk buffers between calls. Appends the destination's slices to
+  /// `record` when given: the recorded shares are the applied ones. Shared
+  /// by the full and incremental paths so their per-destination float
+  /// operations are literally the same code.
   void sweep_destination(const Graph& g, std::span<const double> arc_cost,
                          const TrafficMatrix& demands, ArcAliveMask alive_mask,
                          std::span<const NodeId> skip_nodes, NodeId t,
-                         RoutingBaseRecord* record);
+                         TightDagWalk& dag, RoutingBaseRecord* record);
 
   /// One destination's delay DP (expected/worst accumulation over the
   /// post-order of a TightDagWalk rooted at the demand sources; each node's
@@ -343,7 +346,6 @@ class ClassRouting {
   std::vector<std::uint8_t> replayed_;  ///< see replayed_destinations()
   // compute() scratch, kept to avoid reallocation across evaluations.
   std::vector<double> node_flow_;
-  TightDagWalk dag_;
 };
 
 /// Tight-arc test: arc a lies on a shortest path toward t (distance labels
