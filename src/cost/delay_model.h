@@ -39,10 +39,10 @@ double link_delay_ms(double load_mbps, double capacity_mbps, double prop_delay_m
 /// Dirty-arc index for the incremental end-to-end delay DP: records, while
 /// the no-failure base DP runs, which destinations read which arc's delay
 /// (the alive tight arcs of the destination's ECMP DAG below its demand
-/// sources). Inverted into an arc -> destinations CSR, it answers the per-failure
-/// question "whose DP inputs did these delay changes touch?" in time
-/// proportional to the change, so untouched destinations skip the DP and
-/// replay the base result verbatim.
+/// sources). Inverted into an arc -> destinations CSR, it answers the
+/// per-failure question "whose DP inputs did these delay changes touch?" in
+/// time proportional to the change, so untouched destinations skip the DP
+/// and replay the base result verbatim.
 class DelayDpIndex {
  public:
   /// Drops all recorded pairs and sizes the index for `num_arcs`.

@@ -114,10 +114,6 @@ class TightDagWalk {
     return {arcs_.data() + range_[u].begin, arcs_.data() + range_[u].end};
   }
 
-  std::size_t memory_bytes() const {
-    return heap_bytes(range_) + heap_bytes(arcs_) + heap_bytes(post_) + heap_bytes(stack_);
-  }
-
  private:
   static constexpr std::uint32_t kUnvisited = ~std::uint32_t{0};
   void walk(const GraphCsr& csr, std::span<const double> arc_cost, ArcAliveMask alive,
