@@ -45,11 +45,15 @@ bool arc_is_tight(const Arc& arc, double cost, std::span<const double> dist) {
   return arc_is_tight(arc.src, arc.dst, cost, dist);
 }
 
-void TightDagWalk::reset(std::size_t num_nodes, NodeId t) {
+void TightDagWalk::reset(const GraphCsr& csr, NodeId t) {
+  const std::size_t num_nodes = csr.out_offset.size() - 1;
   range_.assign(num_nodes, {kUnvisited, kUnvisited});
   range_[t] = {0, 0};  // the sink: visited, no out-arcs
   arcs_.clear();
+  arcs_.reserve(csr.out_arc.size());
   post_.clear();
+  post_.reserve(num_nodes);
+  stack_.reserve(num_nodes);
 }
 
 void TightDagWalk::walk(const GraphCsr& csr, std::span<const double> arc_cost,
@@ -65,21 +69,23 @@ void TightDagWalk::walk(const GraphCsr& csr, std::span<const double> arc_cost,
       if (alive(alive_mask, a) && arc_is_tight(u, v, arc_cost[a], dist))
         arcs_.push_back({a, v});
     }
-    range_[u] = {begin, static_cast<std::uint32_t>(arcs_.size())};
-    stack_.push_back({u, begin});
+    const auto end = static_cast<std::uint32_t>(arcs_.size());
+    range_[u] = {begin, end};
+    stack_.push_back({u, begin, end});
   };
   expand(root);
   while (!stack_.empty()) {
+    // Descend along the next arc to an unreached node. Positive costs make
+    // the tight graph acyclic; skipping reached nodes also keeps a zero-cost
+    // tight cycle from looping.
     Frame& top = stack_.back();
-    if (top.next == range_[top.node].end) {
+    while (top.next != top.end && range_[arcs_[top.next].head].begin != kUnvisited) ++top.next;
+    if (top.next == top.end) {
       post_.push_back(top.node);
       stack_.pop_back();
-      continue;
+    } else {
+      expand(arcs_[top.next++].head);
     }
-    // Positive costs make the tight graph acyclic; the visited test also
-    // keeps a zero-cost tight cycle from looping.
-    const NodeId v = arcs_[top.next++].head;
-    if (range_[v].begin == kUnvisited) expand(v);
   }
 }
 
@@ -196,7 +202,7 @@ void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc
   // seeded source in ascending id. Disconnection is accumulated as a
   // per-destination subtotal so the incremental path's replay adds the exact
   // same float terms in the exact same grouping.
-  dag.reset(n, t);
+  dag.reset(csr, t);
   std::uint32_t dest_disconnected = 0;
   double dest_volume = 0.0;
   for (NodeId s = 0; s < n; ++s) {
@@ -449,7 +455,7 @@ void ClassRouting::delay_dp_destination(const Graph& g, std::span<const double> 
   const GraphCsr& csr = g.csr();
 
   // The DAG below the connected demand sources is all the DP reads.
-  dag.reset(n, t);
+  dag.reset(csr, t);
   for (NodeId s = 0; s < n; ++s) {
     if (s == t || is_skipped(skip_nodes, s) || demands.at(s, t) <= 0.0) continue;
     if (dist[s] != kInfDist) dag.visit(csr, arc_cost, alive_mask, dist, s);

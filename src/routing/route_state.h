@@ -97,8 +97,10 @@ class TightDagWalk {
     NodeId head;
   };
 
-  /// Starts a new walk toward `t` over `num_nodes` nodes.
-  void reset(std::size_t num_nodes, NodeId t);
+  /// Starts a new walk toward `t` over the nodes of `csr`. Buffers are
+  /// reserved to their bounds up front, so a fresh walk allocates once per
+  /// buffer and a reused one not at all.
+  void reset(const GraphCsr& csr, NodeId t);
 
   /// Walks the DAG below `root` (a no-op when it was already visited),
   /// appending each newly finished node to post_order().
@@ -125,6 +127,7 @@ class TightDagWalk {
   struct Frame {
     NodeId node;
     std::uint32_t next;  ///< next entry of arcs_ to descend along
+    std::uint32_t end;   ///< end of node's entries in arcs_
   };
   std::vector<Range> range_;  ///< per node; begin == kUnvisited until reached
   std::vector<TightArc> arcs_;
