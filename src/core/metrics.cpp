@@ -111,7 +111,7 @@ double average_max_path_utilization(const Evaluator& evaluator, const WeightSett
 
     // Max over the DAG below the demand sources, every node after its
     // tight successors.
-    dag.reset(csr, t);
+    dag.reset(n, t);
     for (NodeId s = 0; s < n; ++s)
       if (s != t && demands.at(s, t) > 0.0 && dist[s] != kInfDist)
         dag.visit(csr, cost_delay, {}, dist, s);

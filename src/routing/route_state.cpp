@@ -45,15 +45,11 @@ bool arc_is_tight(const Arc& arc, double cost, std::span<const double> dist) {
   return arc_is_tight(arc.src, arc.dst, cost, dist);
 }
 
-void TightDagWalk::reset(const GraphCsr& csr, NodeId t) {
-  const std::size_t num_nodes = csr.out_offset.size() - 1;
+void TightDagWalk::reset(std::size_t num_nodes, NodeId t) {
   range_.assign(num_nodes, {kUnvisited, kUnvisited});
   range_[t] = {0, 0};  // the sink: visited, no out-arcs
   arcs_.clear();
-  arcs_.reserve(csr.out_arc.size());
   post_.clear();
-  post_.reserve(num_nodes);
-  stack_.reserve(num_nodes);
 }
 
 void TightDagWalk::walk(const GraphCsr& csr, std::span<const double> arc_cost,
@@ -202,7 +198,7 @@ void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc
   // seeded source in ascending id. Disconnection is accumulated as a
   // per-destination subtotal so the incremental path's replay adds the exact
   // same float terms in the exact same grouping.
-  dag.reset(csr, t);
+  dag.reset(n, t);
   std::uint32_t dest_disconnected = 0;
   double dest_volume = 0.0;
   for (NodeId s = 0; s < n; ++s) {
@@ -455,7 +451,7 @@ void ClassRouting::delay_dp_destination(const Graph& g, std::span<const double> 
   const GraphCsr& csr = g.csr();
 
   // The DAG below the connected demand sources is all the DP reads.
-  dag.reset(csr, t);
+  dag.reset(n, t);
   for (NodeId s = 0; s < n; ++s) {
     if (s == t || is_skipped(skip_nodes, s) || demands.at(s, t) <= 0.0) continue;
     if (dist[s] != kInfDist) dag.visit(csr, arc_cost, alive_mask, dist, s);

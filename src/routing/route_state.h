@@ -97,10 +97,8 @@ class TightDagWalk {
     NodeId head;
   };
 
-  /// Starts a new walk toward `t` over the nodes of `csr`. Buffers are
-  /// reserved to their bounds up front, so a fresh walk allocates once per
-  /// buffer and a reused one not at all.
-  void reset(const GraphCsr& csr, NodeId t);
+  /// Starts a new walk toward `t` over `num_nodes` nodes.
+  void reset(std::size_t num_nodes, NodeId t);
 
   /// Walks the DAG below `root` (a no-op when it was already visited),
   /// appending each newly finished node to post_order().

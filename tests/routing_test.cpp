@@ -389,7 +389,7 @@ TEST(TightDagWalkTest, PostOrderListsSuccessorsFirstWithTightArcsInCsrOrder) {
   std::vector<double> dist;
   shortest_distances_to(g, t, costs, {}, dist);
   TightDagWalk dag;
-  dag.reset(g.csr(), t);
+  dag.reset(g.num_nodes(), t);
   for (const NodeId root : {NodeId{19}, NodeId{0}, NodeId{12}})
     dag.visit(g.csr(), costs, {}, dist, root);
 
