@@ -42,25 +42,23 @@ double link_delay_ms(double load_mbps, double capacity_mbps, double prop_delay_m
   return queueing_delay_ms(load_mbps, capacity_mbps, params) + prop_delay_ms;           // (1b)
 }
 
-void DelayDpIndex::reset(std::size_t num_arcs) {
-  num_arcs_ = num_arcs;
-  pair_arc_.clear();
-  pair_dest_.clear();
-  offset_.clear();
-  user_.clear();
-}
-
-void DelayDpIndex::finalize() {
-  if (ready()) throw std::logic_error("DelayDpIndex::finalize: already finalized");
-  // Counting sort into the arc -> destinations CSR (stable, so each arc's
-  // destination list comes out ascending).
-  offset_.assign(num_arcs_ + 1, 0);
-  for (const ArcId a : pair_arc_) ++offset_[a + 1];
-  for (std::size_t a = 0; a < num_arcs_; ++a) offset_[a + 1] += offset_[a];
-  user_.resize(pair_arc_.size());
+void DelayDpIndex::build(std::size_t num_arcs, std::span<const std::size_t> dest_offset,
+                         std::span<const ArcId> arcs) {
+  if (dest_offset.empty() || dest_offset.back() != arcs.size())
+    throw std::invalid_argument("DelayDpIndex::build: offsets don't cover the arcs");
+  // Counting sort into the arc -> destinations CSR. Destinations are placed
+  // in ascending order, so each arc's list comes out ascending.
+  offset_.assign(num_arcs + 1, 0);
+  for (const ArcId a : arcs) {
+    if (a >= num_arcs) throw std::out_of_range("DelayDpIndex::build: arc id");
+    ++offset_[a + 1];
+  }
+  for (std::size_t a = 0; a < num_arcs; ++a) offset_[a + 1] += offset_[a];
+  user_.resize(arcs.size());
   std::vector<std::size_t> cursor(offset_.begin(), offset_.end() - 1);
-  for (std::size_t i = 0; i < pair_arc_.size(); ++i)
-    user_[cursor[pair_arc_[i]]++] = pair_dest_[i];
+  for (std::size_t t = 0; t + 1 < dest_offset.size(); ++t)
+    for (std::size_t i = dest_offset[t]; i < dest_offset[t + 1]; ++i)
+      user_[cursor[arcs[i]]++] = static_cast<NodeId>(t);
 }
 
 void mark_dirty_destinations(const DelayDpIndex& index,
@@ -70,7 +68,7 @@ void mark_dirty_destinations(const DelayDpIndex& index,
   if (base_delay_ms.size() != delay_ms.size())
     throw std::invalid_argument("mark_dirty_destinations: delay size mismatch");
   if (!index.ready())
-    throw std::logic_error("mark_dirty_destinations: index not finalized");
+    throw std::logic_error("mark_dirty_destinations: index not built");
   for (std::size_t a = 0; a < delay_ms.size(); ++a) {
     if (std::bit_cast<std::uint64_t>(delay_ms[a]) ==
         std::bit_cast<std::uint64_t>(base_delay_ms[a]))

@@ -36,46 +36,32 @@ double queueing_delay_ms(double load_mbps, double capacity_mbps,
 double link_delay_ms(double load_mbps, double capacity_mbps, double prop_delay_ms,
                      const DelayModelParams& params);
 
-/// Dirty-arc index for the incremental end-to-end delay DP: records, while
-/// the no-failure base DP runs, which destinations read which arc's delay
-/// (the alive tight arcs of the destination's ECMP DAG below its demand
-/// sources). Inverted into an arc -> destinations CSR, it answers the
+/// Dirty-arc index for the incremental end-to-end delay DP: which
+/// destinations read which arc's delay (the tight arcs of each destination's
+/// ECMP DAG below its demand sources). Built as the arc -> destinations
+/// transpose of the base routing's per-destination DAGs, it answers the
 /// per-failure question "whose DP inputs did these delay changes touch?" in
 /// time proportional to the change, so untouched destinations skip the DP
 /// and replay the base result verbatim.
 class DelayDpIndex {
  public:
-  /// Drops all recorded pairs and sizes the index for `num_arcs`.
-  void reset(std::size_t num_arcs);
-
-  /// Records that destination t's DP reads arc a's delay. Each (t, a) pair is
-  /// recorded at most once (the DP visits every arc of a DAG once).
-  void add(NodeId t, ArcId a) {
-    pair_arc_.push_back(a);
-    pair_dest_.push_back(t);
-  }
-
-  /// Builds the arc -> destinations CSR from the recorded pairs. Must be
-  /// called once after the base DP finishes and before `users`.
-  void finalize();
+  /// Rebuilds the index over `num_arcs` arcs from per-destination arc lists:
+  /// destination t reads arcs[dest_offset[t], dest_offset[t+1]), each at most
+  /// once. One counting sort; each arc's destinations come out ascending.
+  void build(std::size_t num_arcs, std::span<const std::size_t> dest_offset,
+             std::span<const ArcId> arcs);
 
   bool ready() const { return !offset_.empty(); }
 
-  std::size_t memory_bytes() const {
-    return heap_bytes(pair_arc_) + heap_bytes(pair_dest_) + heap_bytes(offset_) +
-           heap_bytes(user_);
-  }
+  std::size_t memory_bytes() const { return heap_bytes(offset_) + heap_bytes(user_); }
 
   /// Destinations whose DP reads arc a's delay (ascending order).
   std::span<const NodeId> users(ArcId a) const {
-    return {user_.data() + offset_[a], offset_[a + 1] - offset_[a]};
+    return std::span<const NodeId>(user_).subspan(offset_[a], offset_[a + 1] - offset_[a]);
   }
 
  private:
-  std::size_t num_arcs_ = 0;
-  std::vector<ArcId> pair_arc_;
-  std::vector<NodeId> pair_dest_;
-  std::vector<std::size_t> offset_;  ///< num_arcs + 1 once finalized
+  std::vector<std::size_t> offset_;  ///< num_arcs + 1 once built
   std::vector<NodeId> user_;
 };
 

@@ -139,10 +139,6 @@ std::vector<std::vector<NodeId>> enumerate_ecmp_paths(
 }
 
 void RoutingBaseRecord::reset(std::size_t num_nodes) {
-  contrib_offset.clear();
-  contrib_offset.reserve(num_nodes + 1);
-  contrib_offset.push_back(0);
-  contrib_arc.clear();
   contrib_val.clear();
   disconnected.clear();
   disconnected.reserve(num_nodes);
@@ -169,6 +165,7 @@ void ClassRouting::compute(const Graph& g, std::span<const double> arc_cost,
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
   replayed_.clear();  // not a patched routing
+  begin_dags(n);
   if (record != nullptr) record->reset(n);
   TightDagWalk dag;
 
@@ -180,8 +177,15 @@ void ClassRouting::compute(const Graph& g, std::span<const double> arc_cost,
       record->disconnected.push_back(0);
       record->disconnected_volume.push_back(0.0);
     }
-    if (record != nullptr) record->contrib_offset.push_back(record->contrib_arc.size());
+    dag_offset_.push_back(dag_arc_.size());
   }
+}
+
+void ClassRouting::begin_dags(std::size_t num_nodes) {
+  dag_offset_.clear();
+  dag_offset_.reserve(num_nodes + 1);
+  dag_offset_.push_back(0);
+  dag_arc_.clear();
 }
 
 void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc_cost,
@@ -222,28 +226,42 @@ void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc
 
   // Reverse post-order reaches every node after all of its upstream nodes,
   // so its flow is complete; it splits evenly over its tight out-arcs (in
-  // CSR order).
+  // CSR order), which are kept as the node's group of the stored DAG. Every
+  // reached node carries flow (it is a source or downstream of one); a zero
+  // share would add nothing to the nonnegative accumulators.
   const std::span<const NodeId> post = dag.post_order();
   for (auto it = post.rbegin(); it != post.rend(); ++it) {
     const NodeId u = *it;
-    const double flow = node_flow[u];
-    if (flow <= 0.0) continue;
     const std::span<const TightDagWalk::TightArc> tight = dag.tight_arcs(u);
     if (tight.empty()) {
       // Cannot happen for finite-dist nodes (a tight arc realizes dist),
       // but guard against inconsistent masks.
-      throw std::logic_error("ClassRouting: node with flow has no tight out-arc");
+      throw std::logic_error("ClassRouting: reached node has no tight out-arc");
     }
-    const double share = flow / static_cast<int>(tight.size());
+    const double share = node_flow[u] / static_cast<int>(tight.size());
     for (const TightDagWalk::TightArc& e : tight) {
       arc_load_[e.arc] += share;
       node_flow[e.head] += share;
-      if (record != nullptr) {
-        record->contrib_arc.push_back(e.arc);
-        record->contrib_val.push_back(share);
-      }
+      dag_arc_.push_back(e.arc);
+      if (record != nullptr) record->contrib_val.push_back(share);
     }
   }
+}
+
+void ClassRouting::replay_destination(const ClassRouting& base,
+                                      const RoutingBaseRecord& record, NodeId t) {
+  // Every accumulator receives the same float terms in the same destination
+  // order as a full recompute, so the patched state is bitwise identical.
+  const std::size_t lo = base.dag_offset_[t];
+  const std::size_t hi = base.dag_offset_[t + 1];
+  const std::span<const double> shares =
+      std::span<const double>(record.contrib_val).subspan(lo, hi - lo);
+  const std::span<const ArcId> arcs = base.tight_dag(t);
+  for (std::size_t i = 0; i < arcs.size(); ++i) arc_load_[arcs[i]] += shares[i];
+  dag_arc_.insert(dag_arc_.end(), arcs.begin(), arcs.end());
+  disconnected_ += record.disconnected[t];
+  disconnected_volume_ += record.disconnected_volume[t];
+  replayed_[t] = 1;
 }
 
 void ClassRouting::compute_from_base(const Graph& g, std::span<const double> arc_cost,
@@ -257,7 +275,8 @@ void ClassRouting::compute_from_base(const Graph& g, std::span<const double> arc
   if (demands.num_nodes() != g.num_nodes())
     throw std::invalid_argument("ClassRouting: traffic matrix / graph size mismatch");
   const std::size_t n = g.num_nodes();
-  if (base.dist_.size() != n || record.contrib_offset.size() != n + 1)
+  if (base.dist_.size() != n || base.dag_offset_.size() != n + 1 ||
+      record.contrib_val.size() != base.dag_arc_.size() || record.disconnected.size() != n)
     throw std::invalid_argument("compute_from_base: base/record don't match this graph");
 
   arc_load_.assign(g.num_arcs(), 0.0);
@@ -265,6 +284,7 @@ void ClassRouting::compute_from_base(const Graph& g, std::span<const double> arc
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
   replayed_.assign(n, 0);
+  begin_dags(n);
 
   const std::size_t cap =
       max_affected_fraction >= 1.0
@@ -304,16 +324,11 @@ void ClassRouting::compute_from_base(const Graph& g, std::span<const double> arc
       sweep_destination(g, arc_cost, demands, alive_mask, {}, t, scratch.dag_, nullptr);
       ++scratch.stats_.dests_resweep;
     } else {
-      // Untouched DAG: replay the base contributions. Every accumulator
-      // receives the same float terms in the same destination order as a
-      // full recompute, so the patched state is bitwise identical.
-      for (std::size_t i = record.contrib_offset[t]; i < record.contrib_offset[t + 1]; ++i)
-        arc_load_[record.contrib_arc[i]] += record.contrib_val[i];
-      disconnected_ += record.disconnected[t];
-      disconnected_volume_ += record.disconnected_volume[t];
-      replayed_[t] = 1;
+      // Untouched DAG: replay the base's DAG and contributions.
+      replay_destination(base, record, t);
       ++scratch.stats_.dests_replayed;
     }
+    dag_offset_.push_back(dag_arc_.size());
   }
 }
 
@@ -329,7 +344,8 @@ void ClassRouting::compute_from_weight_delta(const Graph& g,
   if (demands.num_nodes() != g.num_nodes())
     throw std::invalid_argument("ClassRouting: traffic matrix / graph size mismatch");
   const std::size_t n = g.num_nodes();
-  if (base.dist_.size() != n || record.contrib_offset.size() != n + 1)
+  if (base.dist_.size() != n || base.dag_offset_.size() != n + 1 ||
+      record.contrib_val.size() != base.dag_arc_.size() || record.disconnected.size() != n)
     throw std::invalid_argument(
         "compute_from_weight_delta: base/record don't match this graph");
 
@@ -338,6 +354,7 @@ void ClassRouting::compute_from_weight_delta(const Graph& g,
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
   replayed_.assign(n, 0);
+  begin_dags(n);
   if (out_record != nullptr) out_record->reset(n);
 
   const std::size_t cap =
@@ -379,26 +396,17 @@ void ClassRouting::compute_from_weight_delta(const Graph& g,
         }
       }
     }
-    const std::size_t lo = record.contrib_offset[t];
-    const std::size_t hi = record.contrib_offset[t + 1];
     if (affected) {
       sweep_destination(g, arc_cost, demands, {}, {}, t, scratch.dag_, out_record);
       ++scratch.stats_.dests_resweep;
     } else {
-      // Untouched DAG: replay the base contributions. Every accumulator
-      // receives the same float terms in the same destination order as a
-      // full recompute, so the patched state is bitwise identical — and the
-      // base's slices are exactly what recording this destination would give.
-      for (std::size_t i = lo; i < hi; ++i)
-        arc_load_[record.contrib_arc[i]] += record.contrib_val[i];
-      disconnected_ += record.disconnected[t];
-      disconnected_volume_ += record.disconnected_volume[t];
-      replayed_[t] = 1;
+      // Untouched DAG: replay the base's DAG and contributions — the base's
+      // slices are exactly what recording this destination would give.
+      replay_destination(base, record, t);
       ++scratch.stats_.dests_replayed;
       if (out_record != nullptr) {
-        out_record->contrib_arc.insert(out_record->contrib_arc.end(),
-                                       record.contrib_arc.begin() + lo,
-                                       record.contrib_arc.begin() + hi);
+        const auto lo = static_cast<std::ptrdiff_t>(base.dag_offset_[t]);
+        const auto hi = static_cast<std::ptrdiff_t>(base.dag_offset_[t + 1]);
         out_record->contrib_val.insert(out_record->contrib_val.end(),
                                        record.contrib_val.begin() + lo,
                                        record.contrib_val.begin() + hi);
@@ -406,8 +414,7 @@ void ClassRouting::compute_from_weight_delta(const Graph& g,
         out_record->disconnected_volume.push_back(record.disconnected_volume[t]);
       }
     }
-    if (out_record != nullptr)
-      out_record->contrib_offset.push_back(out_record->contrib_arc.size());
+    dag_offset_.push_back(dag_arc_.size());
   }
 }
 
@@ -427,6 +434,7 @@ void ClassRouting::compute_with_labels(const Graph& g, std::span<const double> a
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
   replayed_.clear();  // not a patched routing
+  begin_dags(n);
   TightDagWalk dag;
 
   for (NodeId t = 0; t < n; ++t) {
@@ -435,48 +443,38 @@ void ClassRouting::compute_with_labels(const Graph& g, std::span<const double> a
     dist_[t] = labels[t];
     if (!is_skipped(skip_nodes, t))
       sweep_destination(g, arc_cost, demands, alive_mask, skip_nodes, t, dag, nullptr);
+    dag_offset_.push_back(dag_arc_.size());
   }
 }
 
-void ClassRouting::delay_dp_destination(const Graph& g, std::span<const double> arc_cost,
-                                        ArcAliveMask alive_mask,
+void ClassRouting::delay_dp_destination(const GraphCsr& csr,
                                         std::span<const double> arc_delay_ms,
                                         const TrafficMatrix& demands, SlaDelayMode mode,
                                         std::span<const NodeId> skip_nodes, NodeId t,
-                                        std::vector<double>& node_delay, TightDagWalk& dag,
-                                        std::vector<double>& out,
-                                        DelayDpIndex* record) const {
-  const std::size_t n = g.num_nodes();
+                                        std::vector<double>& node_delay,
+                                        std::vector<double>& out) const {
+  const std::size_t n = node_delay.size();
   const auto& dist = dist_[t];
-  const GraphCsr& csr = g.csr();
+  const bool worst = mode == SlaDelayMode::kWorstPath;
 
-  // The DAG below the connected demand sources is all the DP reads.
-  dag.reset(n, t);
-  for (NodeId s = 0; s < n; ++s) {
-    if (s == t || is_skipped(skip_nodes, s) || demands.at(s, t) <= 0.0) continue;
-    if (dist[s] != kInfDist) dag.visit(csr, arc_cost, alive_mask, dist, s);
-  }
-
-  // DP in post-order (every node after its tight successors):
+  // DP over the sweep's DAG, node groups taken backward (every node after
+  // its tight successors):
   //   expected: E[u] = sum_k (1/k)(D_a + E[dst_a]) over tight arcs
   //   worst:    W[u] = max_a (D_a + W[dst_a])
+  const std::span<const ArcId> arcs = tight_dag(t);
   node_delay[t] = 0.0;
-  for (const NodeId u : dag.post_order()) {
-    const std::span<const TightDagWalk::TightArc> tight = dag.tight_arcs(u);
-    double acc = (mode == SlaDelayMode::kWorstPath) ? -kInfDist : 0.0;
-    for (const TightDagWalk::TightArc& e : tight) {
-      if (record != nullptr) record->add(t, e.arc);
-      const double through = arc_delay_ms[e.arc] + node_delay[e.head];
-      if (mode == SlaDelayMode::kWorstPath) {
-        acc = std::max(acc, through);
-      } else {
-        acc += through;
-      }
+  for (std::size_t end = arcs.size(); end > 0;) {
+    const NodeId u = csr.src[arcs[end - 1]];
+    std::size_t begin = end - 1;
+    while (begin > 0 && csr.src[arcs[begin - 1]] == u) --begin;
+    double acc = worst ? -kInfDist : 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const ArcId a = arcs[i];
+      const double through = arc_delay_ms[a] + node_delay[csr.dst[a]];
+      acc = worst ? std::max(acc, through) : acc + through;
     }
-    const int tight_count = static_cast<int>(tight.size());
-    node_delay[u] = (mode == SlaDelayMode::kWorstPath)
-                        ? acc
-                        : (tight_count > 0 ? acc / tight_count : 0.0);
+    node_delay[u] = worst ? acc : acc / static_cast<int>(end - begin);
+    end = begin;
   }
 
   for (NodeId s = 0; s < n; ++s) {
@@ -487,8 +485,8 @@ void ClassRouting::delay_dp_destination(const Graph& g, std::span<const double> 
   }
 }
 
-void ClassRouting::end_to_end_delays(const Graph& g, std::span<const double> arc_cost,
-                                     ArcAliveMask alive_mask,
+void ClassRouting::end_to_end_delays(const Graph& g, std::span<const double> /*arc_cost*/,
+                                     ArcAliveMask /*alive*/,
                                      std::span<const double> arc_delay_ms,
                                      const TrafficMatrix& demands, SlaDelayMode mode,
                                      std::span<const NodeId> skip_nodes,
@@ -497,22 +495,21 @@ void ClassRouting::end_to_end_delays(const Graph& g, std::span<const double> arc
   const std::size_t n = g.num_nodes();
   if (arc_delay_ms.size() != g.num_arcs())
     throw std::invalid_argument("end_to_end_delays: arc_delay size mismatch");
+  if (dag_offset_.size() != n + 1)
+    throw std::logic_error("end_to_end_delays: routing not computed for this graph");
   out.assign(n * n, -1.0);
-  if (record != nullptr) record->reset(g.num_arcs());
+  if (record != nullptr) record->build(g.num_arcs(), dag_offset_, dag_arc_);
 
   std::vector<double> node_delay(n);
-  TightDagWalk dag;
-
+  const GraphCsr& csr = g.csr();
   for (NodeId t = 0; t < n; ++t) {
     if (is_skipped(skip_nodes, t)) continue;
-    delay_dp_destination(g, arc_cost, alive_mask, arc_delay_ms, demands, mode,
-                         skip_nodes, t, node_delay, dag, out, record);
+    delay_dp_destination(csr, arc_delay_ms, demands, mode, skip_nodes, t, node_delay, out);
   }
-  if (record != nullptr) record->finalize();
 }
 
 void ClassRouting::end_to_end_delays_from_base(
-    const Graph& g, std::span<const double> arc_cost, ArcAliveMask alive_mask,
+    const Graph& g, std::span<const double> /*arc_cost*/, ArcAliveMask /*alive*/,
     std::span<const double> arc_delay_ms, const TrafficMatrix& demands,
     SlaDelayMode mode, std::span<const double> base_arc_delay_ms,
     std::span<const double> base_sd_delay_ms, const DelayDpIndex& index,
@@ -522,7 +519,7 @@ void ClassRouting::end_to_end_delays_from_base(
     throw std::invalid_argument("end_to_end_delays_from_base: arc_delay size mismatch");
   if (base_sd_delay_ms.size() != n * n)
     throw std::invalid_argument("end_to_end_delays_from_base: base delay size mismatch");
-  if (replayed_.size() != n)
+  if (replayed_.size() != n || dag_offset_.size() != n + 1)
     throw std::logic_error(
         "end_to_end_delays_from_base: routing was not patched from a base");
 
@@ -535,19 +532,20 @@ void ClassRouting::end_to_end_delays_from_base(
   mark_dirty_destinations(index, base_arc_delay_ms, arc_delay_ms, scratch.dirty_);
 
   scratch.node_delay_.resize(n);
+  const GraphCsr& csr = g.csr();
   for (NodeId t = 0; t < n; ++t) {
     if (replayed_[t] && !scratch.dirty_[t]) {
       // Clean destination: the DP would consume the exact distance labels,
-      // tight-arc set, and arc delays the base DP consumed, so its output
-      // column is replayed verbatim (removed arcs were not tight here, and
-      // both paths skip them before any accumulation).
+      // tight DAG, and arc delays the base DP consumed, so its output
+      // column is replayed verbatim (removed arcs were not tight here, so
+      // neither DAG holds them).
       for (NodeId s = 0; s < n; ++s)
         out[static_cast<std::size_t>(s) * n + t] =
             base_sd_delay_ms[static_cast<std::size_t>(s) * n + t];
       ++scratch.stats_.delay_cols_replayed;
     } else {
-      delay_dp_destination(g, arc_cost, alive_mask, arc_delay_ms, demands, mode, {}, t,
-                           scratch.node_delay_, scratch.dag_, out, nullptr);
+      delay_dp_destination(csr, arc_delay_ms, demands, mode, {}, t, scratch.node_delay_,
+                           out);
       ++scratch.stats_.delay_cols_recomputed;
     }
   }

@@ -28,12 +28,12 @@ enum class SlaDelayMode : std::uint8_t {
 /// same accumulators in the same destination order means the patched arc
 /// loads and disconnection totals are bitwise identical to a full recompute.
 struct RoutingBaseRecord {
-  /// CSR over destinations: destination t's load contributions are
-  /// [contrib_offset[t], contrib_offset[t+1]) in contrib_arc/contrib_val.
-  /// Each arc appears at most once per destination (its source node is swept
-  /// exactly once), so replay order within a destination is immaterial.
-  std::vector<std::size_t> contrib_offset;
-  std::vector<ArcId> contrib_arc;
+  /// Applied load shares, aligned with the recorded routing's tight DAG
+  /// (ClassRouting::tight_dag): the share the sweep pushed along each DAG
+  /// arc, in the same index space, so destination t's shares sit at the
+  /// positions of its DAG slice. Each arc appears at most once per
+  /// destination (its source node is swept exactly once), so replay order
+  /// within a destination is immaterial.
   std::vector<double> contrib_val;
   /// Per-destination disconnected-demand subtotals.
   std::vector<std::uint32_t> disconnected;
@@ -42,8 +42,8 @@ struct RoutingBaseRecord {
   void reset(std::size_t num_nodes);
 
   std::size_t memory_bytes() const {
-    return heap_bytes(contrib_offset) + heap_bytes(contrib_arc) + heap_bytes(contrib_val) +
-           heap_bytes(disconnected) + heap_bytes(disconnected_volume);
+    return heap_bytes(contrib_val) + heap_bytes(disconnected) +
+           heap_bytes(disconnected_volume);
   }
 };
 
@@ -84,9 +84,10 @@ struct PatchStats {
 /// its tight ones kept in CSR order, so the consumers need neither a distance
 /// sort nor a second tightness scan:
 ///   - post_order() lists every node after all of its tight successors (the
-///     delay and path-utilization DPs read their successors' values);
+///     path-utilization DP reads its successors' values);
 ///   - reversed, it lists every node after all of its DAG predecessors among
-///     the visited nodes (the load sweep pushes flow downstream).
+///     the visited nodes (the load sweep pushes flow downstream, and the
+///     routing keeps the DAG in that order for its delay DP).
 /// The order is a pure function of the graph, labels and root sequence. The
 /// destination itself is a sink: never expanded and never listed. Buffers
 /// are reused across walks; no state survives reset().
@@ -135,10 +136,10 @@ class TightDagWalk {
 
 /// Reusable per-worker scratch for ClassRouting::compute_from_base,
 /// compute_from_weight_delta and end_to_end_delays_from_base (delta-SPF
-/// buffers, the tight-DAG walk their load sweeps and delay DP share, and the
-/// incremental delay DP's dirty bitmap and node delays). One instance per worker
-/// thread, reused across scenario evaluations to keep the incremental hot
-/// path allocation-free.
+/// buffers, the tight-DAG walk of their load re-sweeps, and the incremental
+/// delay DP's dirty bitmap and node delays). One instance per worker thread,
+/// reused across scenario evaluations to keep the incremental hot path
+/// allocation-free.
 class FailureScratch {
  public:
   FailureScratch() = default;
@@ -165,7 +166,9 @@ class FailureScratch {
 /// Load aggregation is the standard Fortz–Thorup sweep: per destination,
 /// process nodes in topological order of the shortest-path DAG (the reverse
 /// post-order of a TightDagWalk from the demand sources) and split each
-/// node's accumulated flow evenly across its tight out-arcs.
+/// node's accumulated flow evenly across its tight out-arcs. The routing
+/// keeps each destination's DAG as the sweep walked it (tight_dag), and the
+/// delay DP reads it instead of walking it again.
 class ClassRouting {
  public:
   /// `skip_nodes`: demands sourced or sunk at any of these nodes are ignored
@@ -248,10 +251,10 @@ class ClassRouting {
 
   std::span<const double> arc_loads() const { return arc_load_; }
 
-  /// Heap bytes of the labels, loads and sweep buffers.
+  /// Heap bytes of the labels, loads, tight DAGs and sweep buffers.
   std::size_t memory_bytes() const {
-    return heap_bytes(arc_load_) + heap_bytes(dist_) + heap_bytes(replayed_) +
-           heap_bytes(node_flow_);
+    return heap_bytes(arc_load_) + heap_bytes(dist_) + heap_bytes(dag_offset_) +
+           heap_bytes(dag_arc_) + heap_bytes(replayed_) + heap_bytes(node_flow_);
   }
   double arc_load(ArcId a) const { return arc_load_[a]; }
 
@@ -264,6 +267,18 @@ class ClassRouting {
   std::size_t disconnected_demand_count() const { return disconnected_; }
   double disconnected_demand_volume() const { return disconnected_volume_; }
 
+  /// Destination t's tight DAG as its load sweep walked it: the tight
+  /// out-arcs of every node the sweep reached from t's demand sources, one
+  /// group of arcs per node, nodes in the sweep's order (each after all of
+  /// its DAG predecessors), each group in CSR (ascending arc id) order. A
+  /// group is the run of arcs that share csr.src; every reached node has at
+  /// least one tight arc. Empty for skipped and sourceless destinations. A
+  /// replayed destination of a patched routing holds its base's DAG.
+  std::span<const ArcId> tight_dag(NodeId t) const {
+    return std::span<const ArcId>(dag_arc_).subspan(dag_offset_[t],
+                                                    dag_offset_[t + 1] - dag_offset_[t]);
+  }
+
   /// Per-destination replay outcome of the last compute_from_base: 1 where
   /// the destination's DAG survived the failure untouched (loads were
   /// replayed), 0 where it was re-swept. Empty unless this routing was
@@ -275,9 +290,14 @@ class ClassRouting {
   /// out[s*n + t] = delay in ms; untouched entries are set to -1 (pairs with
   /// no demand). Disconnected pairs with demand get kInfDist.
   ///
-  /// When `record` is given it is filled with the dirty-arc index (which
-  /// destinations read which arc's delay) that end_to_end_delays_from_base
-  /// consumes; the recording adds no float operations.
+  /// The DP runs over the routing's stored tight DAGs, so `arc_cost`,
+  /// `alive`, `demands` and `skip_nodes` must be the routing's own (the ones
+  /// its last compute* call used); `arc_cost` and `alive` are not read.
+  ///
+  /// When `record` is given it is rebuilt as the dirty-arc index (the
+  /// transpose of the DAGs: which destinations read which arc's delay) that
+  /// end_to_end_delays_from_base consumes; building it adds no float
+  /// operations.
   void end_to_end_delays(const Graph& g, std::span<const double> arc_cost,
                          ArcAliveMask alive, std::span<const double> arc_delay_ms,
                          const TrafficMatrix& demands, SlaDelayMode mode,
@@ -285,18 +305,19 @@ class ClassRouting {
                          DelayDpIndex* record = nullptr) const;
 
   /// Incremental end-to-end delay DP for a routing produced by
-  /// compute_from_base under an arc-removal failure. Destinations whose DAG
-  /// survived (replayed) AND whose recorded DP inputs are bitwise unchanged
-  /// (`index` + base vs scenario arc delays) copy the base's delay column
-  /// verbatim; every other destination runs the normal per-destination DP.
-  /// Bit-identical to end_to_end_delays by construction: a skipped DP would
-  /// have consumed the exact same distance labels, tight-arc set, and arc
+  /// compute_from_base (or compute_from_weight_delta) from a base. Destinations
+  /// whose DAG survived (replayed) AND whose recorded DP inputs are bitwise
+  /// unchanged (`index` + base vs scenario arc delays) copy the base's delay
+  /// column verbatim; every other destination runs the normal per-destination
+  /// DP. Bit-identical to end_to_end_delays by construction: a skipped DP
+  /// would have consumed the exact same distance labels, tight DAG, and arc
   /// delays as the base DP that produced `base_sd_delay_ms`.
   ///
   /// `base_sd_delay_ms` / `base_arc_delay_ms` are the no-failure base's DP
   /// output and per-arc delays; `index` was recorded by the base's
-  /// end_to_end_delays. Node-failure scenarios (skip semantics) are not
-  /// supported; use end_to_end_delays.
+  /// end_to_end_delays. `arc_cost`, `alive` and `demands` must be the
+  /// routing's own; `arc_cost` and `alive` are not read. Node-failure
+  /// scenarios (skip semantics) are not supported; use end_to_end_delays.
   void end_to_end_delays_from_base(const Graph& g, std::span<const double> arc_cost,
                                    ArcAliveMask alive,
                                    std::span<const double> arc_delay_ms,
@@ -311,35 +332,45 @@ class ClassRouting {
   /// per-destination subtotal) and runs the ECMP load sweep over dist_[t]:
   /// a TightDagWalk rooted at the seeded sources in ascending id, then flow
   /// pushed in reverse post-order, so every node's accumulation order is
-  /// fully specified. `dag` is caller scratch: a local of the full paths,
-  /// the worker's FailureScratch on the incremental ones, so no routing
-  /// holds walk buffers between calls. Appends the destination's slices to
-  /// `record` when given: the recorded shares are the applied ones. Shared
-  /// by the full and incremental paths so their per-destination float
-  /// operations are literally the same code.
+  /// fully specified. Appends the walked DAG to dag_arc_ in that order.
+  /// `dag` is caller scratch: a local of the full paths, the worker's
+  /// FailureScratch on the incremental ones, so no routing holds walk
+  /// buffers between calls. Appends the destination's slices to `record`
+  /// when given: the recorded shares are the applied ones. Shared by the full
+  /// and incremental paths so their per-destination float operations are
+  /// literally the same code.
   void sweep_destination(const Graph& g, std::span<const double> arc_cost,
                          const TrafficMatrix& demands, ArcAliveMask alive_mask,
                          std::span<const NodeId> skip_nodes, NodeId t,
                          TightDagWalk& dag, RoutingBaseRecord* record);
 
+  /// Replays destination t from `base` and its `record`: copies the base's
+  /// DAG slice and adds its recorded shares and disconnection subtotals.
+  void replay_destination(const ClassRouting& base, const RoutingBaseRecord& record,
+                          NodeId t);
+
+  /// Starts the per-destination DAG CSR of a new compute* pass.
+  void begin_dags(std::size_t num_nodes);
+
   /// One destination's delay DP (expected/worst accumulation over the
-  /// post-order of a TightDagWalk rooted at the demand sources; each node's
-  /// terms are summed in CSR arc order, so the output does not depend on the
-  /// walk order). Shared by the full and incremental delay paths so their
+  /// stored tight DAG, node groups taken backward so every node comes after
+  /// its tight successors; each node's terms are summed in CSR arc order).
+  /// Shared by the full and incremental delay paths so their
   /// per-destination float operations are literally the same code.
-  /// `node_delay` (size n) and `dag` are caller scratch.
-  void delay_dp_destination(const Graph& g, std::span<const double> arc_cost,
-                            ArcAliveMask alive_mask,
-                            std::span<const double> arc_delay_ms,
+  /// `node_delay` (size n) is caller scratch.
+  void delay_dp_destination(const GraphCsr& csr, std::span<const double> arc_delay_ms,
                             const TrafficMatrix& demands, SlaDelayMode mode,
                             std::span<const NodeId> skip_nodes, NodeId t,
-                            std::vector<double>& node_delay, TightDagWalk& dag,
-                            std::vector<double>& out, DelayDpIndex* record) const;
+                            std::vector<double>& node_delay, std::vector<double>& out) const;
 
   std::vector<double> arc_load_;
   std::vector<std::vector<double>> dist_;
   std::size_t disconnected_ = 0;
   double disconnected_volume_ = 0.0;
+  /// Tight DAGs (see tight_dag()): destination t's arcs are
+  /// dag_arc_[dag_offset_[t], dag_offset_[t+1]).
+  std::vector<std::size_t> dag_offset_;
+  std::vector<ArcId> dag_arc_;
   std::vector<std::uint8_t> replayed_;  ///< see replayed_destinations()
   // compute() scratch, kept to avoid reallocation across evaluations.
   std::vector<double> node_flow_;

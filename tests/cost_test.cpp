@@ -140,17 +140,19 @@ TEST(SlaTest, AccumulateSkipsCapsAndCounts) {
 
 TEST(DelayDpIndexTest, MarksExactlyTheRecordedUsers) {
   DelayDpIndex index;
-  index.reset(4);
-  // Destination 0 reads arcs 0 and 2; destination 1 reads arc 2; arc 1 and
-  // arc 3 have no users.
-  index.add(0, 0);
-  index.add(0, 2);
-  index.add(1, 2);
-  index.finalize();
+  EXPECT_FALSE(index.ready());
+  // Destination 0 reads arcs 2 and 0; destination 1 reads arc 2;
+  // destination 2 reads nothing; arc 1 and arc 3 have no users.
+  const std::vector<std::size_t> dest_offset{0, 2, 3, 3};
+  const std::vector<ArcId> arcs{2, 0, 2};
+  index.build(4, dest_offset, arcs);
   ASSERT_TRUE(index.ready());
-  EXPECT_EQ(index.users(0).size(), 1u);
+  EXPECT_EQ(std::vector<NodeId>(index.users(0).begin(), index.users(0).end()),
+            (std::vector<NodeId>{0}));
   EXPECT_EQ(index.users(1).size(), 0u);
-  EXPECT_EQ(index.users(2).size(), 2u);
+  EXPECT_EQ(std::vector<NodeId>(index.users(2).begin(), index.users(2).end()),
+            (std::vector<NodeId>{0, 1}));
+  EXPECT_EQ(index.users(3).size(), 0u);
 
   const std::vector<double> base{1.0, 2.0, 3.0, 4.0};
   std::vector<std::uint8_t> dirty(3, 0);
@@ -172,6 +174,21 @@ TEST(DelayDpIndexTest, MarksExactlyTheRecordedUsers) {
   const std::vector<double> neg_zero{-0.0, 2.0, 3.0, 4.0};
   mark_dirty_destinations(index, zero_base, neg_zero, dirty);
   EXPECT_EQ(dirty, (std::vector<std::uint8_t>{1, 0, 0}));
+}
+
+TEST(DelayDpIndexTest, RebuildReplacesAndValidates) {
+  DelayDpIndex index;
+  index.build(3, std::vector<std::size_t>{0, 1, 1}, std::vector<ArcId>{1});
+  index.build(3, std::vector<std::size_t>{0, 0, 2}, std::vector<ArcId>{0, 2});
+  EXPECT_EQ(index.users(1).size(), 0u);  // the first build left nothing behind
+  ASSERT_EQ(index.users(0).size(), 1u);
+  EXPECT_EQ(index.users(0)[0], 1u);
+  ASSERT_EQ(index.users(2).size(), 1u);
+  EXPECT_EQ(index.users(2)[0], 1u);
+  EXPECT_THROW(index.build(3, std::vector<std::size_t>{0, 2}, std::vector<ArcId>{0}),
+               std::invalid_argument);
+  EXPECT_THROW(index.build(3, std::vector<std::size_t>{0, 1}, std::vector<ArcId>{3}),
+               std::out_of_range);
 }
 
 // ---------------------------------------------------------- Fortz cost

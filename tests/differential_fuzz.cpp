@@ -6,7 +6,7 @@
 /// budget — CI passes a per-run seed (echoed below for replay) so every run
 /// explores new instances.
 ///
-/// Three layers are fuzzed against their reference implementations:
+/// Five layers are fuzzed against their reference implementations:
 ///   1. delta_spf_update_arcs (weight deltas: increases, decreases, and
 ///      dead-arc removals, multi-link change lists) vs a full Dijkstra;
 ///   2. failure-scenario evaluation (single links, link pairs, links-only
@@ -19,7 +19,13 @@
 ///   4. a short seeded LocalSearch (Phase-1 and Phase-2 objective shapes,
 ///      speculative probing, promotion on accept and restart, exact-mode
 ///      failure samples) through the anchored evaluator vs the full one:
-///      accepted moves and final costs must match byte for byte.
+///      accepted moves and final costs must match byte for byte;
+///   5. the per-pair delays of the anchored evaluator (full, patched and
+///      weight-delta routings, node failures, both delay modes) vs the
+///      sort-based oracle of test_helpers.h on paper-style and generated ISP
+///      graphs. The anchored and full evaluators share one DP over the
+///      routings' stored tight DAGs, so comparing them cannot catch a DAG
+///      both read wrong; the oracle re-derives labels and tightness itself.
 ///
 /// Usage: differential_fuzz [--seed N] [--budget-seconds S]
 /// Exit code 0 = no divergence inside the budget; 1 = divergence (a repro
@@ -36,6 +42,7 @@
 #include <vector>
 
 #include "core/local_search.h"
+#include "cost/sla.h"
 #include "experiments/campaign.h"
 #include "experiments/workloads.h"
 #include "graph/spf.h"
@@ -45,6 +52,8 @@
 #include "routing/weights.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+
+#include "test_helpers.h"
 
 namespace dtr {
 namespace {
@@ -321,6 +330,73 @@ void fuzz_search(Rng& rng) {
   }
 }
 
+/// Layer 5: evaluator per-pair delays vs the independent sort-based oracle.
+void fuzz_delay_oracle(Rng& rng, bool isp) {
+  experiments::WorkloadSpec spec;
+  if (isp) {
+    spec.kind = experiments::TopologyKind::kIsp;
+    spec.isp_source = experiments::IspSource::kGenerated;
+    spec.nodes = rng.uniform_int(24, 48);
+    spec.isp_pops = rng.uniform_int(3, 6);
+  } else {
+    spec.kind = experiments::TopologyKind::kRand;
+    spec.nodes = rng.uniform_int(8, 14);
+    spec.degree = 3.0 + static_cast<double>(rng.uniform_int(0, 15)) / 10.0;
+  }
+  spec.seed = rng.split().seed();
+  experiments::Workload w = experiments::make_workload(spec);
+  if (rng.uniform_int(0, 1) == 1) w.params.sla_delay_mode = SlaDelayMode::kWorstPath;
+  const Graph& g = w.graph;
+  const int num_links = static_cast<int>(g.num_links());
+  const Evaluator ev(g, w.traffic, w.params, {});
+
+  // Random or tie-heavy incumbent, then one-link probes patched from it.
+  const int wmax = rng.uniform_int(0, 1) == 0 ? 20 : rng.uniform_int(1, 2);
+  std::vector<WeightSetting> settings(1, WeightSetting(g.num_links()));
+  randomize_weights(settings[0], wmax, rng);
+  for (int p = 0; p < 2; ++p) {
+    WeightSetting probe = settings[0];
+    probe.set(TrafficClass::kDelay, static_cast<LinkId>(rng.uniform_int(0, num_links - 1)),
+              rng.uniform_int(1, std::max(wmax, 2)));
+    settings.push_back(probe);
+  }
+  std::vector<FailureScenario> scenarios{FailureScenario::none()};
+  for (int i = 0; i < 3; ++i)
+    scenarios.push_back(
+        FailureScenario::link(static_cast<LinkId>(rng.uniform_int(0, num_links - 1))));
+  scenarios.push_back(
+      FailureScenario::link_pair(static_cast<LinkId>(rng.uniform_int(0, num_links - 1)),
+                                 static_cast<LinkId>(rng.uniform_int(0, num_links - 1))));
+  scenarios.push_back(FailureScenario::node(
+      static_cast<NodeId>(rng.uniform_int(0, static_cast<int>(g.num_nodes()) - 1))));
+
+  const GraphCsr& csr = g.csr();
+  const double disconnect_delay = w.params.sla.theta_ms + w.params.disconnect_delay_excess_ms;
+  std::vector<double> costs, arc_delay(g.num_arcs());
+  std::vector<std::uint8_t> mask;
+  for (std::size_t s = 0; s < settings.size(); ++s) {
+    settings[s].arc_costs(g, TrafficClass::kDelay, costs);
+    for (const FailureScenario& scenario : scenarios) {
+      const EvalResult r = ev.evaluate(settings[s], scenario, EvalDetail::kFull);
+      build_alive_mask(g, scenario, mask);
+      for (ArcId a = 0; a < g.num_arcs(); ++a)
+        arc_delay[a] = link_delay_ms(r.arc_total_load[a], csr.capacity[a],
+                                     csr.prop_delay_ms[a], w.params.delay_model);
+      std::vector<double> want = test::reference_delays(
+          g, costs, mask, arc_delay, w.traffic.delay, w.params.sla_delay_mode,
+          test::all_labels(g, costs, mask), skipped_nodes(scenario));
+      accumulate_sla_cost(want, w.params.sla, disconnect_delay);
+      if (!bytes_equal(r.sd_delay_ms, want))
+        report_divergence("delay DP vs oracle",
+                          std::string(isp ? "isp" : "rand") + " wmax " +
+                              std::to_string(wmax) + " mode " +
+                              std::to_string(static_cast<int>(w.params.sla_delay_mode)) +
+                              " setting " + std::to_string(s) + " (" +
+                              to_string(scenario) + ")");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dtr
 
@@ -354,6 +430,8 @@ int main(int argc, char** argv) {
     dtr::fuzz_evaluator(rng, 20);
     dtr::fuzz_evaluator(rng, rng.uniform_int(1, 2));  // tie leg
     dtr::fuzz_search(rng);
+    dtr::fuzz_delay_oracle(rng, /*isp=*/false);
+    dtr::fuzz_delay_oracle(rng, /*isp=*/true);
   }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

@@ -288,17 +288,6 @@ Graph make_grid(int rows, int cols) {
   return g;
 }
 
-/// Nodes with finite dist, by distance (ascending or descending), ties by id.
-std::vector<NodeId> distance_order(std::span<const double> dist, bool descending) {
-  std::vector<NodeId> order;
-  for (NodeId u = 0; u < dist.size(); ++u)
-    if (dist[u] != kInfDist) order.push_back(u);
-  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return descending ? dist[a] > dist[b] : dist[a] < dist[b];
-  });
-  return order;
-}
-
 bool is_tight(const Graph& g, std::span<const double> costs, ArcAliveMask alive,
               std::span<const double> dist, ArcId a) {
   return (alive.empty() || alive[a] != 0) && arc_is_tight(g.arc(a), costs[a], dist);
@@ -315,7 +304,7 @@ std::vector<double> reference_loads(const Graph& g, std::span<const double> cost
     std::vector<double> flow(n, 0.0);
     for (NodeId s = 0; s < n; ++s)
       if (s != t && dist[s] != kInfDist) flow[s] = tm.at(s, t);
-    for (const NodeId u : distance_order(dist, /*descending=*/true)) {
+    for (const NodeId u : test::distance_order(dist, /*descending=*/true)) {
       if (u == t || flow[u] <= 0.0) continue;
       int k = 0;
       for (ArcId a : g.out_arcs(u)) k += is_tight(g, costs, alive, dist, a) ? 1 : 0;
@@ -327,36 +316,6 @@ std::vector<double> reference_loads(const Graph& g, std::span<const double> cost
     }
   }
   return load;
-}
-
-/// Sort-based reference of ClassRouting::end_to_end_delays.
-std::vector<double> reference_delays(const Graph& g, std::span<const double> costs,
-                                     ArcAliveMask alive, std::span<const double> arc_delay,
-                                     const TrafficMatrix& tm, SlaDelayMode mode,
-                                     const ClassRouting& r) {
-  const std::size_t n = g.num_nodes();
-  std::vector<double> out(n * n, -1.0);
-  for (NodeId t = 0; t < n; ++t) {
-    const std::vector<double>& dist = r.distances()[t];
-    std::vector<double> node_delay(n, 0.0);
-    for (const NodeId u : distance_order(dist, /*descending=*/false)) {
-      if (u == t) continue;
-      int k = 0;
-      double acc = mode == SlaDelayMode::kWorstPath ? -kInfDist : 0.0;
-      for (ArcId a : g.out_arcs(u)) {
-        if (!is_tight(g, costs, alive, dist, a)) continue;
-        ++k;
-        const double through = arc_delay[a] + node_delay[g.arc(a).dst];
-        acc = mode == SlaDelayMode::kWorstPath ? std::max(acc, through) : acc + through;
-      }
-      node_delay[u] = mode == SlaDelayMode::kWorstPath ? acc : (k > 0 ? acc / k : 0.0);
-    }
-    for (NodeId s = 0; s < n; ++s)
-      if (s != t && tm.at(s, t) > 0.0)
-        out[static_cast<std::size_t>(s) * n + t] =
-            dist[s] == kInfDist ? kInfDist : node_delay[s];
-  }
-  return out;
 }
 
 struct TieCase {
@@ -433,13 +392,159 @@ TEST(TightDagWalkTest, DelaysMatchSortedReferenceBitForBit) {
         std::vector<double> got;
         r.end_to_end_delays(g, c.costs, mask, arc_delay, tm, mode, {}, got);
         const std::vector<double> want =
-            reference_delays(g, c.costs, mask, arc_delay, tm, mode, r);
+            test::reference_delays(g, c.costs, mask, arc_delay, tm, mode, r.distances());
         ASSERT_EQ(got.size(), want.size());
         EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
             << c.name << " mode " << static_cast<int>(mode) << " masked " << !mask.empty();
       }
     }
   }
+}
+
+/// Per-arc delays that differ from arc to arc, so a DP reading the wrong arc
+/// or summing in another order shows in the output bits.
+std::vector<double> spread_delays(const Graph& g) {
+  std::vector<double> arc_delay(g.num_arcs());
+  for (ArcId a = 0; a < g.num_arcs(); ++a)
+    arc_delay[a] = 0.3 + 0.01 * static_cast<double>((a * 7919u) % 101u);
+  return arc_delay;
+}
+
+/// The routing's DP in both modes against the sort-based reference over
+/// `labels`, bit for bit.
+void expect_delays_match_reference(const ClassRouting& r, const Graph& g,
+                                   std::span<const double> costs, ArcAliveMask mask,
+                                   std::span<const double> arc_delay, const TrafficMatrix& tm,
+                                   const std::vector<std::vector<double>>& labels,
+                                   std::span<const NodeId> skip, const std::string& what) {
+  for (const SlaDelayMode mode : {SlaDelayMode::kExpected, SlaDelayMode::kWorstPath}) {
+    std::vector<double> got;
+    r.end_to_end_delays(g, costs, mask, arc_delay, tm, mode, skip, got);
+    const std::vector<double> want =
+        test::reference_delays(g, costs, mask, arc_delay, tm, mode, labels, skip);
+    ASSERT_EQ(got.size(), want.size()) << what;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+        << what << " mode " << static_cast<int>(mode);
+  }
+}
+
+TEST(TightDagWalkTest, StoredDagListsReachedNodesAfterTheirPredecessors) {
+  for (const TieCase& c : tie_heavy_cases()) {
+    const Graph& g = c.graph;
+    const GraphCsr& csr = g.csr();
+    const TrafficMatrix tm = make_gravity_traffic(g, {1.0, 1.0, 11});
+    const ClassRouting r(g, c.costs, tm, {});
+    for (NodeId t = 0; t < g.num_nodes(); ++t) {
+      const std::vector<double>& dist = r.distances()[t];
+      const std::span<const ArcId> dag = r.tight_dag(t);
+      // Group the arcs by source; every reached node has one group, holding
+      // exactly its tight out-arcs in CSR order.
+      std::vector<int> position(g.num_nodes(), -1);
+      int groups = 0;
+      for (std::size_t i = 0; i < dag.size();) {
+        const NodeId u = csr.src[dag[i]];
+        ASSERT_EQ(position[u], -1) << c.name << " node " << u << " grouped twice";
+        position[u] = groups++;
+        std::vector<ArcId> got;
+        for (; i < dag.size() && csr.src[dag[i]] == u; ++i) got.push_back(dag[i]);
+        std::vector<ArcId> want;
+        for (ArcId a : g.out_arcs(u))
+          if (arc_is_tight(g.arc(a), c.costs[a], dist)) want.push_back(a);
+        EXPECT_EQ(got, want) << c.name << " dest " << t << " node " << u;
+      }
+      // Sources with demand are reached; each head comes after its tail.
+      for (NodeId s = 0; s < g.num_nodes(); ++s) {
+        if (s != t && tm.at(s, t) > 0.0) {
+          EXPECT_GE(position[s], 0) << c.name;
+        }
+      }
+      for (const ArcId a : dag) {
+        if (csr.dst[a] != t) {
+          EXPECT_GT(position[csr.dst[a]], position[csr.src[a]]) << c.name;
+        }
+      }
+    }
+  }
+}
+
+TEST(TightDagWalkTest, PatchedRoutingDelaysMatchSortedReferenceBitForBit) {
+  PatchStats stats;  // over every case: the grid's failures touch every DAG
+  for (const TieCase& c : tie_heavy_cases()) {
+    const Graph& g = c.graph;
+    const TrafficMatrix tm = make_gravity_traffic(g, {1.0, 1.0, 13});
+    const std::vector<double> arc_delay = spread_delays(g);
+    std::vector<double> dirty_delay = arc_delay;  // some DP inputs change
+    for (ArcId a = 0; a < g.num_arcs(); a += 5) dirty_delay[a] += 0.125;
+    ClassRouting base;
+    RoutingBaseRecord record;
+    base.compute(g, c.costs, tm, {}, {}, &record);
+    std::vector<double> base_sd;
+    DelayDpIndex index;
+    base.end_to_end_delays(g, c.costs, {}, arc_delay, tm, SlaDelayMode::kExpected, {},
+                           base_sd, &index);
+    FailureScratch scratch;
+    ClassRouting patched;
+
+    // compute_from_base: single links spread over the graph, so some
+    // destinations replay and others re-sweep.
+    for (const LinkId l : {LinkId{1}, static_cast<LinkId>(g.num_links() / 2),
+                           static_cast<LinkId>(g.num_links() - 1)}) {
+      std::vector<std::uint8_t> alive(g.num_arcs(), 1);
+      std::vector<ArcId> removed;
+      for (ArcId a : g.link_arcs(l)) {
+        alive[a] = 0;
+        removed.push_back(a);
+      }
+      scratch.reset_stats();
+      patched.compute_from_base(g, c.costs, tm, base, record, removed, alive, 1.0, scratch);
+      stats.merge(scratch.stats());
+      const auto labels = test::all_labels(g, c.costs, alive);
+      const std::string what = c.name + " compute_from_base link " + std::to_string(l);
+      expect_delays_match_reference(patched, g, c.costs, alive, dirty_delay, tm, labels, {},
+                                    what);
+      // The incremental DP: clean replayed columns copied, the rest recomputed.
+      std::vector<double> got;
+      patched.end_to_end_delays_from_base(g, c.costs, alive, dirty_delay, tm,
+                                          SlaDelayMode::kExpected, arc_delay, base_sd,
+                                          index, scratch, got);
+      const std::vector<double> want = test::reference_delays(
+          g, c.costs, alive, dirty_delay, tm, SlaDelayMode::kExpected, labels);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+          << what << " (from base)";
+    }
+
+    // compute_from_weight_delta: one link's weight raised.
+    std::vector<double> probe_costs = c.costs;
+    std::vector<ArcCostDelta> changes;
+    for (ArcId a : g.link_arcs(2)) {
+      changes.push_back({a, c.costs[a]});
+      probe_costs[a] += 1.0;
+    }
+    patched.compute_from_weight_delta(g, probe_costs, tm, base, record, changes, 1.0, scratch);
+    expect_delays_match_reference(patched, g, probe_costs, {}, arc_delay, tm,
+                                  test::all_labels(g, probe_costs, {}), {},
+                                  c.name + " compute_from_weight_delta");
+
+    // compute_with_labels under a failure mask.
+    std::vector<std::uint8_t> alive(g.num_arcs(), 1);
+    for (ArcId a : g.link_arcs(3)) alive[a] = 0;
+    const auto labels = test::all_labels(g, c.costs, alive);
+    patched.compute_with_labels(g, c.costs, tm, alive, labels);
+    expect_delays_match_reference(patched, g, c.costs, alive, arc_delay, tm, labels, {},
+                                  c.name + " compute_with_labels");
+
+    // A node failure: its arcs dead, its demands skipped.
+    std::vector<std::uint8_t> node_alive;
+    build_alive_mask(g, FailureScenario::node(4), node_alive);
+    const NodeId skip[] = {4};
+    patched.compute(g, c.costs, tm, node_alive, skip);
+    expect_delays_match_reference(patched, g, c.costs, node_alive, arc_delay, tm,
+                                  test::all_labels(g, c.costs, node_alive), skip,
+                                  c.name + " node-skip compute");
+  }
+  EXPECT_GT(stats.dests_replayed, 0u);
+  EXPECT_GT(stats.dests_resweep, 0u);
 }
 
 TEST(TightDagWalkTest, LoadsMatchSortedReferenceSweep) {

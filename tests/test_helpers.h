@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "graph/graph.h"
+#include "graph/spf.h"
 #include "graph/topology.h"
 #include "routing/evaluator.h"
+#include "routing/failures.h"
+#include "routing/route_state.h"
 #include "routing/weights.h"
 #include "traffic/gravity.h"
 #include "traffic/scaling.h"
@@ -77,6 +83,67 @@ inline WeightSetting random_weights(const Graph& g, int wmax, std::uint64_t seed
   Rng rng(seed);
   randomize_weights(w, wmax, rng);
   return w;
+}
+
+/// Nodes with finite dist, by distance (ascending or descending), ties by id.
+inline std::vector<NodeId> distance_order(std::span<const double> dist, bool descending) {
+  std::vector<NodeId> order;
+  for (NodeId u = 0; u < dist.size(); ++u)
+    if (dist[u] != kInfDist) order.push_back(u);
+  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+    return descending ? dist[a] > dist[b] : dist[a] < dist[b];
+  });
+  return order;
+}
+
+/// Sort-based reference of ClassRouting::end_to_end_delays, independent of
+/// any stored DAG: per destination t it takes the nodes in ascending label
+/// order (ties by id) and sums (or maxes) each node's terms over its alive
+/// tight out-arcs in adjacency order, testing every arc against `labels[t]`
+/// itself. Pairs with a skipped endpoint or no demand stay -1; disconnected
+/// pairs with demand get kInfDist.
+inline std::vector<double> reference_delays(const Graph& g, std::span<const double> costs,
+                                            ArcAliveMask alive,
+                                            std::span<const double> arc_delay,
+                                            const TrafficMatrix& tm, SlaDelayMode mode,
+                                            const std::vector<std::vector<double>>& labels,
+                                            std::span<const NodeId> skip = {}) {
+  const std::size_t n = g.num_nodes();
+  std::vector<double> out(n * n, -1.0);
+  std::vector<double> node_delay(n);
+  for (NodeId t = 0; t < n; ++t) {
+    if (is_skipped(skip, t)) continue;
+    const std::vector<double>& dist = labels[t];
+    std::fill(node_delay.begin(), node_delay.end(), 0.0);
+    for (const NodeId u : distance_order(dist, /*descending=*/false)) {
+      if (u == t) continue;
+      int k = 0;
+      double acc = mode == SlaDelayMode::kWorstPath ? -kInfDist : 0.0;
+      for (ArcId a : g.out_arcs(u)) {
+        if (!alive.empty() && alive[a] == 0) continue;
+        if (!arc_is_tight(g.arc(a), costs[a], dist)) continue;
+        ++k;
+        const double through = arc_delay[a] + node_delay[g.arc(a).dst];
+        acc = mode == SlaDelayMode::kWorstPath ? std::max(acc, through) : acc + through;
+      }
+      node_delay[u] = mode == SlaDelayMode::kWorstPath ? acc : (k > 0 ? acc / k : 0.0);
+    }
+    for (NodeId s = 0; s < n; ++s)
+      if (s != t && !is_skipped(skip, s) && tm.at(s, t) > 0.0)
+        out[static_cast<std::size_t>(s) * n + t] =
+            dist[s] == kInfDist ? kInfDist : node_delay[s];
+  }
+  return out;
+}
+
+/// Labels for reference_delays: a full Dijkstra toward every destination.
+inline std::vector<std::vector<double>> all_labels(const Graph& g,
+                                                   std::span<const double> costs,
+                                                   ArcAliveMask alive) {
+  std::vector<std::vector<double>> labels(g.num_nodes());
+  for (NodeId t = 0; t < g.num_nodes(); ++t)
+    shortest_distances_to(g, t, costs, alive, labels[t]);
+  return labels;
 }
 
 /// The authoritative EvalResult comparator for byte-identity contracts
