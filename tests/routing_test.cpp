@@ -376,31 +376,6 @@ TEST(TightDagWalkTest, PostOrderListsSuccessorsFirstWithTightArcsInCsrOrder) {
     EXPECT_GE(position[root], 0);
 }
 
-TEST(TightDagWalkTest, DelaysMatchSortedReferenceBitForBit) {
-  for (const TieCase& c : tie_heavy_cases()) {
-    const Graph& g = c.graph;
-    const TrafficMatrix tm = make_gravity_traffic(g, {1.0, 1.0, 11});
-    std::vector<double> arc_delay(g.num_arcs());
-    for (ArcId a = 0; a < g.num_arcs(); ++a)
-      arc_delay[a] = 0.3 + 0.01 * static_cast<double>((a * 7919u) % 101u);
-    // No failure, then one link down (alive mask on both sides).
-    std::vector<std::uint8_t> alive(g.num_arcs(), 1);
-    for (ArcId a : g.link_arcs(1)) alive[a] = 0;
-    for (const ArcAliveMask mask : {ArcAliveMask{}, ArcAliveMask{alive}}) {
-      const ClassRouting r(g, c.costs, tm, mask);
-      for (const SlaDelayMode mode : {SlaDelayMode::kExpected, SlaDelayMode::kWorstPath}) {
-        std::vector<double> got;
-        r.end_to_end_delays(g, c.costs, mask, arc_delay, tm, mode, {}, got);
-        const std::vector<double> want =
-            test::reference_delays(g, c.costs, mask, arc_delay, tm, mode, r.distances());
-        ASSERT_EQ(got.size(), want.size());
-        EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
-            << c.name << " mode " << static_cast<int>(mode) << " masked " << !mask.empty();
-      }
-    }
-  }
-}
-
 /// Per-arc delays that differ from arc to arc, so a DP reading the wrong arc
 /// or summing in another order shows in the output bits.
 std::vector<double> spread_delays(const Graph& g) {
@@ -425,6 +400,21 @@ void expect_delays_match_reference(const ClassRouting& r, const Graph& g,
     ASSERT_EQ(got.size(), want.size()) << what;
     EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
         << what << " mode " << static_cast<int>(mode);
+  }
+}
+
+TEST(TightDagWalkTest, DelaysMatchSortedReferenceBitForBit) {
+  for (const TieCase& c : tie_heavy_cases()) {
+    const Graph& g = c.graph;
+    const TrafficMatrix tm = make_gravity_traffic(g, {1.0, 1.0, 11});
+    // No failure, then one link down (alive mask on both sides).
+    std::vector<std::uint8_t> alive(g.num_arcs(), 1);
+    for (ArcId a : g.link_arcs(1)) alive[a] = 0;
+    for (const ArcAliveMask mask : {ArcAliveMask{}, ArcAliveMask{alive}}) {
+      const ClassRouting r(g, c.costs, tm, mask);
+      expect_delays_match_reference(r, g, c.costs, mask, spread_delays(g), tm, r.distances(),
+                                    {}, c.name + (mask.empty() ? "" : " masked"));
+    }
   }
 }
 
