@@ -248,8 +248,8 @@ void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc
   }
 }
 
-void ClassRouting::replay_destination(const ClassRouting& base,
-                                      const RoutingBaseRecord& record, NodeId t) {
+void ClassRouting::replay_destination(const ClassRouting& base, const RoutingBaseRecord& record,
+                                      NodeId t) {
   // Every accumulator receives the same float terms in the same destination
   // order as a full recompute, so the patched state is bitwise identical.
   const std::size_t lo = base.dag_offset_[t];
@@ -447,8 +447,7 @@ void ClassRouting::compute_with_labels(const Graph& g, std::span<const double> a
   }
 }
 
-void ClassRouting::delay_dp_destination(const GraphCsr& csr,
-                                        std::span<const double> arc_delay_ms,
+void ClassRouting::delay_dp_destination(const GraphCsr& csr, std::span<const double> arc_delay_ms,
                                         const TrafficMatrix& demands, SlaDelayMode mode,
                                         std::span<const NodeId> skip_nodes, NodeId t,
                                         std::vector<double>& node_delay,
@@ -544,8 +543,7 @@ void ClassRouting::end_to_end_delays_from_base(
             base_sd_delay_ms[static_cast<std::size_t>(s) * n + t];
       ++scratch.stats_.delay_cols_replayed;
     } else {
-      delay_dp_destination(csr, arc_delay_ms, demands, mode, {}, t, scratch.node_delay_,
-                           out);
+      delay_dp_destination(csr, arc_delay_ms, demands, mode, {}, t, scratch.node_delay_, out);
       ++scratch.stats_.delay_cols_recomputed;
     }
   }

@@ -42,8 +42,7 @@ struct RoutingBaseRecord {
   void reset(std::size_t num_nodes);
 
   std::size_t memory_bytes() const {
-    return heap_bytes(contrib_val) + heap_bytes(disconnected) +
-           heap_bytes(disconnected_volume);
+    return heap_bytes(contrib_val) + heap_bytes(disconnected) + heap_bytes(disconnected_volume);
   }
 };
 
@@ -346,8 +345,7 @@ class ClassRouting {
 
   /// Replays destination t from `base` and its `record`: copies the base's
   /// DAG slice and adds its recorded shares and disconnection subtotals.
-  void replay_destination(const ClassRouting& base, const RoutingBaseRecord& record,
-                          NodeId t);
+  void replay_destination(const ClassRouting& base, const RoutingBaseRecord& record, NodeId t);
 
   /// Starts the per-destination DAG CSR of a new compute* pass.
   void begin_dags(std::size_t num_nodes);

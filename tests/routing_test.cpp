@@ -490,8 +490,7 @@ TEST(TightDagWalkTest, PatchedRoutingDelaysMatchSortedReferenceBitForBit) {
       stats.merge(scratch.stats());
       const auto labels = test::all_labels(g, c.costs, alive);
       const std::string what = c.name + " compute_from_base link " + std::to_string(l);
-      expect_delays_match_reference(patched, g, c.costs, alive, dirty_delay, tm, labels, {},
-                                    what);
+      expect_delays_match_reference(patched, g, c.costs, alive, dirty_delay, tm, labels, {}, what);
       // The incremental DP: clean replayed columns copied, the rest recomputed.
       std::vector<double> got;
       patched.end_to_end_delays_from_base(g, c.costs, alive, dirty_delay, tm,

@@ -103,8 +103,7 @@ inline std::vector<NodeId> distance_order(std::span<const double> dist, bool des
 /// itself. Pairs with a skipped endpoint or no demand stay -1; disconnected
 /// pairs with demand get kInfDist.
 inline std::vector<double> reference_delays(const Graph& g, std::span<const double> costs,
-                                            ArcAliveMask alive,
-                                            std::span<const double> arc_delay,
+                                            ArcAliveMask alive, std::span<const double> arc_delay,
                                             const TrafficMatrix& tm, SlaDelayMode mode,
                                             const std::vector<std::vector<double>>& labels,
                                             std::span<const NodeId> skip = {}) {
@@ -137,8 +136,7 @@ inline std::vector<double> reference_delays(const Graph& g, std::span<const doub
 }
 
 /// Labels for reference_delays: a full Dijkstra toward every destination.
-inline std::vector<std::vector<double>> all_labels(const Graph& g,
-                                                   std::span<const double> costs,
+inline std::vector<std::vector<double>> all_labels(const Graph& g, std::span<const double> costs,
                                                    ArcAliveMask alive) {
   std::vector<std::vector<double>> labels(g.num_nodes());
   for (NodeId t = 0; t < g.num_nodes(); ++t)
