@@ -518,7 +518,7 @@ void ClassRouting::end_to_end_delays_from_base(
     throw std::invalid_argument("end_to_end_delays_from_base: arc_delay size mismatch");
   if (base_sd_delay_ms.size() != n * n)
     throw std::invalid_argument("end_to_end_delays_from_base: base delay size mismatch");
-  if (replayed_.size() != n || dag_offset_.size() != n + 1)
+  if (replayed_.size() != n)
     throw std::logic_error(
         "end_to_end_delays_from_base: routing was not patched from a base");
 
