@@ -194,10 +194,11 @@ BENCHMARK(BM_FailureSweepTelemetry)
 // Event-bus overhead guard: the same all-link sweep, publishing one
 // deterministic iteration record PER SCENARIO onto a live EventBus and
 // draining it (events:1) vs the bare sweep (events:0). That is a far higher
-// event rate than production — the optimizer publishes per ACCEPTED MOVE,
-// orders of magnitude rarer than evaluations — so the <2% acceptance target
-// here bounds the real overhead from well above. Serialization to JSONL is
-// deliberately absent: it happens at export time, off the hot path.
+// event rate than production — the optimizer publishes one record per
+// ACCEPTED MOVE, orders of magnitude rarer than evaluations, when optimize()
+// returns — so the <2% acceptance target here bounds the real overhead from
+// well above. Serialization to JSONL is deliberately absent: it happens at
+// export time, off the hot path.
 // ---------------------------------------------------------------------------
 
 void BM_EventBusOverhead(benchmark::State& state) {
@@ -210,7 +211,7 @@ void BM_EventBusOverhead(benchmark::State& state) {
   randomize_weights(w, 30, rng);
   const std::vector<FailureScenario> scenarios = all_link_failures(ev.graph());
 
-  telemetry::EventBus bus(1 << 12);
+  telemetry::EventBus bus;
   std::uint64_t published = 0;
   double checksum = 0.0;
   for (auto _ : state) {
@@ -227,7 +228,7 @@ void BM_EventBusOverhead(benchmark::State& state) {
         e.link = static_cast<std::int64_t>(i);
         e.cost_lambda = results[i].sla_violations;
         e.cost_phi = results[i].phi;
-        telemetry::publish_deterministic(&bus, std::move(e));
+        bus.publish(std::move(e));
       }
       published += bus.drain().size();
     }
@@ -237,7 +238,6 @@ void BM_EventBusOverhead(benchmark::State& state) {
   state.counters["links"] = static_cast<double>(ev.graph().num_links());
   state.counters["events_per_iter"] =
       events_on ? static_cast<double>(scenarios.size()) : 0.0;
-  if (events_on && bus.dropped() > 0) state.SkipWithError("event bus overflowed");
   benchmark::DoNotOptimize(published);
 }
 BENCHMARK(BM_EventBusOverhead)

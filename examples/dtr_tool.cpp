@@ -20,7 +20,7 @@
 ///            [--in-graph FILE] [--out-graph FILE] [--out-weights FILE]
 ///            [--out-dot FILE] [--report]
 ///            [--telemetry-json FILE] [--trace-out FILE]
-///            [--events-out FILE] [--trace-events FILE] [--metrics-port N]
+///            [--events-out FILE] [--metrics-port N]
 ///   dtr_tool campaign --spec FILE [--json FILE] [--workers N]
 ///            [--inner-threads N] [--filter SUBSTR] [--list] [--timings]
 ///            [--no-incremental] [--no-delay-dp]
@@ -61,11 +61,9 @@
 /// Streaming: --events-out attaches an event bus to the run and writes the
 /// stream as dtr.events.v1 JSONL — deterministic-plane lines (iteration
 /// records, phase markers) are byte-identical for any --workers /
-/// --inner-threads shape; process-plane lines (heartbeats, progress, drops)
-/// carry wall_ms and are excluded from golden diffs. Campaign cells opt in
-/// with the `events = 1` spec key. --trace-events replays the recorded
-/// convergence trace (OptimizeResult::trace) of a one-shot run as a purely
-/// deterministic event file after the run completes. --metrics-port N serves
+/// --inner-threads shape; process-plane lines (heartbeats, progress ticks,
+/// counter deltas) carry wall_ms and are excluded from golden diffs. Campaign
+/// cells opt in with the `events = 1` spec key. --metrics-port N serves
 /// the live registry in Prometheus text format on 127.0.0.1:N for the
 /// duration of the run (port 0 picks an ephemeral port, printed at startup).
 /// `dtr_tool tail FILE` pretty-prints an events file; --follow keeps reading
@@ -145,7 +143,7 @@ struct Options {
   Effort effort = Effort::kQuick;
   double fraction = 0.15;
   std::string in_graph, out_graph, out_weights, out_dot;
-  std::string telemetry_json, trace_out, events_out, trace_events;
+  std::string telemetry_json, trace_out, events_out;
   int metrics_port = -1;  ///< -1 = no exposer; 0 = ephemeral port
   bool report = false;
   /// Availability-aware hardening (the --objective / --harden-* flags);
@@ -195,50 +193,16 @@ void export_telemetry(const telemetry::Registry& registry, const std::string& na
   }
 }
 
-/// Drains `bus` into a dtr.events.v1 JSONL file: schema header, every queued
-/// event in FIFO order, and a trailing process-plane drops record when the
-/// ring overflowed (lossy streams must say so).
+/// Drains `bus` into a dtr.events.v1 JSONL file: schema header, then every
+/// queued event in FIFO order.
 void export_events(telemetry::EventBus& bus, const std::string& path) {
   std::ofstream out(path);
   if (!out) usage_error("cannot write " + path);
   telemetry::write_events_header(out);
   const std::vector<telemetry::Event> events = bus.drain();
   telemetry::write_events_jsonl(out, events);
-  if (bus.dropped() > 0) {
-    telemetry::Event drops;
-    drops.kind = telemetry::EventKind::kDrops;
-    drops.plane = telemetry::Plane::kProcess;
-    drops.value = bus.dropped();
-    out << telemetry::event_json_line(drops) << "\n";
-  }
   finish_write(out, path);
   std::cout << "wrote " << events.size() << " events to " << path << "\n";
-}
-
-/// Replays the recorded convergence trace as a purely deterministic
-/// dtr.events.v1 file — the same iteration records the live bus carries, but
-/// reconstructed after the fact from OptimizeResult::trace.
-void export_trace_events(const OptimizeResult& result, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) usage_error("cannot write " + path);
-  telemetry::write_events_header(out);
-  std::vector<telemetry::Event> events;
-  events.reserve(result.trace.size());
-  for (const TraceMove& tm : result.trace) {
-    telemetry::Event e;
-    e.kind = telemetry::EventKind::kIteration;
-    e.label = tm.phase == 1 ? "phase1" : "phase2";
-    e.iteration = static_cast<std::uint64_t>(tm.move.iteration);
-    e.evaluations = static_cast<std::uint64_t>(tm.move.evaluations);
-    e.link = tm.move.link == kInvalidLink ? -1 : static_cast<std::int64_t>(tm.move.link);
-    e.cost_lambda = tm.move.cost.lambda;
-    e.cost_phi = tm.move.cost.phi;
-    e.restart = tm.move.restart;
-    events.push_back(std::move(e));
-  }
-  telemetry::write_events_jsonl(out, events);
-  finish_write(out, path);
-  std::cout << "wrote " << events.size() << " trace events to " << path << "\n";
 }
 
 /// Starts a metrics exposer when `port` >= 0, announcing the bound address
@@ -374,7 +338,6 @@ Options parse_args(int argc, char** argv) {
     else if (flag == "--telemetry-json") opt.telemetry_json = value;
     else if (flag == "--trace-out") opt.trace_out = value;
     else if (flag == "--events-out") opt.events_out = value;
-    else if (flag == "--trace-events") opt.trace_events = value;
     else if (flag == "--metrics-port") {
       opt.metrics_port = std::stoi(value);
       if (opt.metrics_port < 0 || opt.metrics_port > 65535)
@@ -454,9 +417,7 @@ int run_campaign_command(int argc, char** argv) {
   exp::CampaignOptions options{workers, inner_threads, eval_config};
   if (!telemetry_json.empty() || !trace_out.empty() || metrics_port >= 0)
     options.telemetry = &registry;
-  // Sized for every cell's full smoke/quick stream at once: per-cell buses
-  // are drained into this sink in one burst after the parallel barrier.
-  telemetry::EventBus event_sink(1 << 18);
+  telemetry::EventBus event_sink;
   if (!events_out.empty()) options.events = &event_sink;
   const auto exposer = start_exposer(registry, metrics_port);
   const exp::CampaignResult result = exp::run_campaign(campaign, options);
@@ -638,8 +599,6 @@ void print_event_line(const std::string& line, std::ostream& os) {
     if (!total.empty() && total != "0") os << "/" << total;
   } else if (event == "counter_delta") {
     os << label << " +" << json_field(line, "delta");
-  } else if (event == "drops") {
-    os << json_field(line, "dropped") << " events dropped";
   } else {
     os << label;  // phase_start / cell_start / cell_finish carry only a label
   }
@@ -784,6 +743,5 @@ int main(int argc, char** argv) {
     export_telemetry(registry, "dtr_tool", opt.telemetry_json, opt.trace_out);
   }
   if (!opt.events_out.empty()) export_events(events, opt.events_out);
-  if (!opt.trace_events.empty()) export_trace_events(result, opt.trace_events);
   return 0;
 }

@@ -187,6 +187,46 @@ class DowntimeObjective final : public Phase2Objective {
   double unavoidable_mass_ = 0.0;  ///< U = Sum_s w_s * unavoidable_s
 };
 
+/// Appends the deterministic-plane event stream of a finished run: start/end
+/// markers for phases 1a, 1b, 1c and 2, one iteration record per trace move
+/// (phase-1 moves inside 1a, phase-2 moves inside 2), and the search totals
+/// on the 1a and 2 ends. Rendered from the result alone, so the stream is
+/// complete and byte-identical for any num_threads.
+void publish_det_events(const OptimizeResult& result, telemetry::EventBus& bus) {
+  const auto phase = [&](std::string_view label, int trace_phase, long iterations,
+                         long evaluations, CostPair cost) {
+    telemetry::Event start;
+    start.kind = telemetry::EventKind::kPhaseStart;
+    start.label = std::string(label);
+    bus.publish(std::move(start));
+    for (const TraceMove& t : result.trace) {
+      if (t.phase != trace_phase) continue;
+      telemetry::Event e;
+      e.kind = telemetry::EventKind::kIteration;
+      e.label = "phase" + std::to_string(t.phase);
+      e.iteration = static_cast<std::uint64_t>(t.move.iteration);
+      e.evaluations = static_cast<std::uint64_t>(t.move.evaluations);
+      e.link = t.move.link == kInvalidLink ? -1 : static_cast<std::int64_t>(t.move.link);
+      e.cost_lambda = t.move.cost.lambda;
+      e.cost_phi = t.move.cost.phi;
+      e.restart = t.move.restart;
+      bus.publish(std::move(e));
+    }
+    telemetry::Event end;
+    end.kind = telemetry::EventKind::kPhaseEnd;
+    end.label = std::string(label);
+    end.iteration = static_cast<std::uint64_t>(iterations);
+    end.evaluations = static_cast<std::uint64_t>(evaluations);
+    end.cost_lambda = cost.lambda;
+    end.cost_phi = cost.phi;
+    bus.publish(std::move(end));
+  };
+  phase("phase1a", 1, result.phase1_iterations, result.phase1_evaluations, result.regular_cost);
+  phase("phase1b", 0, 0, 0, {});  // sampling and selection: no search, no moves
+  phase("phase1c", 0, 0, 0, {});
+  phase("phase2", 2, result.phase2_iterations, result.phase2_evaluations, result.robust_kfail);
+}
+
 }  // namespace
 
 std::string to_string(SelectorKind k) {
@@ -288,32 +328,8 @@ OptimizeResult RobustOptimizer::optimize() {
   OptimizeResult result;
   const EvaluatorCacheStats cache_before = evaluator_.base_cache_stats();
 
-  // Streaming events honor the global kill switch like every other sink.
-  // Deterministic-plane publication rides the LocalSearch hook contract:
-  // hooks run on the calling thread in iteration order, so the event stream
-  // is byte-identical for any num_threads.
-  telemetry::EventBus* events = telemetry::enabled() ? config_.events : nullptr;
-  const auto phase_marker = [events](telemetry::EventKind kind, std::string_view label) {
-    if (events == nullptr) return;
-    telemetry::Event e;
-    e.kind = kind;
-    e.label = std::string(label);
-    telemetry::publish_deterministic(events, std::move(e));
-  };
-  const auto phase_end = [events](std::string_view label, const LocalSearch::Result& r) {
-    if (events == nullptr) return;
-    telemetry::Event e;
-    e.kind = telemetry::EventKind::kPhaseEnd;
-    e.label = std::string(label);
-    e.iteration = static_cast<std::uint64_t>(r.iterations);
-    e.evaluations = static_cast<std::uint64_t>(r.evaluations);
-    e.cost_lambda = r.best_cost.lambda;
-    e.cost_phi = r.best_cost.phi;
-    telemetry::publish_deterministic(events, std::move(e));
-  };
   telemetry::Registry* live = telemetry::effective(config_.telemetry);
-  const auto record_move = [events, live, &result](int phase, std::string_view label,
-                                                   const MoveRecord& m) {
+  const auto record_move = [live, &result](int phase, const MoveRecord& m) {
     result.trace.push_back({phase, m});
     if (live != nullptr) {
       // Live progress for the metrics exposer: the last accepted move is
@@ -324,22 +340,10 @@ OptimizeResult RobustOptimizer::optimize() {
       live->gauge("optimizer.live.evaluations")
           .set(static_cast<std::uint64_t>(m.evaluations));
     }
-    if (events == nullptr) return;
-    telemetry::Event e;
-    e.kind = telemetry::EventKind::kIteration;
-    e.label = std::string(label);
-    e.iteration = static_cast<std::uint64_t>(m.iteration);
-    e.evaluations = static_cast<std::uint64_t>(m.evaluations);
-    e.link = m.link == kInvalidLink ? -1 : static_cast<std::int64_t>(m.link);
-    e.cost_lambda = m.cost.lambda;
-    e.cost_phi = m.cost.phi;
-    e.restart = m.restart;
-    telemetry::publish_deterministic(events, std::move(e));
   };
 
   // ---------------- Phase 1: regular optimization (Eq. 3) -----------------
   const auto phase1_start = Clock::now();
-  phase_marker(telemetry::EventKind::kPhaseStart, "phase1a");
   NormalObjective normal_objective(evaluator_);
   CriticalityCollector collector(num_links, config_.wmax, evaluator_.params().sla.b1,
                                  config_.criticality, rng.split().seed());
@@ -377,8 +381,7 @@ OptimizeResult RobustOptimizer::optimize() {
   phase1_search.set_on_accept([&store](const WeightSetting& w, const CostPair& cost) {
     store.offer(w, cost);
   });
-  phase1_search.set_on_move(
-      [&record_move](const MoveRecord& m) { record_move(1, "phase1", m); });
+  phase1_search.set_on_move([&record_move](const MoveRecord& m) { record_move(1, m); });
 
   WeightSetting initial(num_links);
   if (config_.warm_start) {
@@ -390,16 +393,15 @@ OptimizeResult RobustOptimizer::optimize() {
 
   result.regular = phase1.best;
   result.regular_cost = phase1.best_cost;
+  result.phase1_iterations = phase1.iterations;
   result.phase1_evaluations = phase1.evaluations;
   result.phase1_diversifications = phase1.diversifications;
   result.phase1a_samples = collector.total_samples();
   store.offer(phase1.best, phase1.best_cost);
   result.phase1_seconds = seconds_since(phase1_start);
-  phase_end("phase1a", phase1);
 
   // ------------- Phase 1b: top-up sampling until rank convergence ---------
   const auto phase1b_start = Clock::now();
-  phase_marker(telemetry::EventKind::kPhaseStart, "phase1b");
   // Samples must stay conditioned on acceptable routings: the pool of
   // acceptable stored settings, shared by the per-link and catalog samplers.
   // The Phase 1 incumbent is acceptable by definition, so it is never empty.
@@ -455,11 +457,9 @@ OptimizeResult RobustOptimizer::optimize() {
     result.scenario_samples = static_cast<std::size_t>(crit.samples);
   }
   result.phase1b_seconds = seconds_since(phase1b_start);
-  phase_marker(telemetry::EventKind::kPhaseEnd, "phase1b");
 
   // ---------------- Phase 1c: critical set selection ----------------------
   const auto phase1c_start = Clock::now();
-  phase_marker(telemetry::EventKind::kPhaseStart, "phase1c");
   const std::size_t target = critical_target_size();
   if (catalog_mode) {
     result.catalog_size = objective->set.size();
@@ -547,11 +547,9 @@ OptimizeResult RobustOptimizer::optimize() {
                         std::back_inserter(gained));
     result.critical_churn = gained.size();
   }
-  phase_marker(telemetry::EventKind::kPhaseEnd, "phase1c");
 
   // ---------------- Phase 2: robust optimization (Eq. 4) ------------------
   const auto phase2_start = Clock::now();
-  phase_marker(telemetry::EventKind::kPhaseStart, "phase2");
   std::vector<FailureScenario> scenarios;
   std::vector<double> scenario_weights;
   if (catalog_mode) {
@@ -616,8 +614,10 @@ OptimizeResult RobustOptimizer::optimize() {
     return w;
   });
 
-  phase2_search.set_on_move(
-      [&record_move](const MoveRecord& m) { record_move(2, "phase2", m); });
+  phase2_search.set_on_move([&record_move](const MoveRecord& m) { record_move(2, m); });
+
+  // Streaming events honor the global kill switch like every other sink.
+  telemetry::EventBus* events = telemetry::enabled() ? config_.events : nullptr;
   if (events != nullptr) {
     // Process-plane progress heartbeat: a tick every 256 probes so a live
     // tail shows Phase 2 moving even between accepts. Total is unknown (the
@@ -636,12 +636,12 @@ OptimizeResult RobustOptimizer::optimize() {
   result.robust = phase2.best;
   result.robust_kfail = phase2.best_cost;
   result.robust_normal_cost = evaluator_.evaluate(result.robust).cost();
+  result.phase2_iterations = phase2.iterations;
   result.phase2_evaluations = phase2.evaluations;
   result.phase2_scenario_evaluations = robust_objective->scenario_evaluations();
   result.phase2_diversifications = phase2.diversifications;
   result.phase2_seconds = seconds_since(phase2_start);
   if (catalog_mode) result.robust_objective_value = phase2.best_cost.lambda;
-  phase_end("phase2", phase2);
 
   // Per-link change attribution: which links the accepted moves touched.
   {
@@ -703,6 +703,7 @@ OptimizeResult RobustOptimizer::optimize() {
           0},
          {"optimizer.phase2", ns(phase2_start), ns(phase2_end) - ns(phase2_start), 0, 0}});
   }
+  if (events != nullptr) publish_det_events(result, *events);
   return result;
 }
 

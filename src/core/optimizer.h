@@ -79,10 +79,11 @@ struct OptimizerConfig {
   /// when the evaluator was constructed, not through this field.
   telemetry::Registry* telemetry = nullptr;
   /// Optional streaming event sink (borrowed; may be null). While optimize()
-  /// runs it receives deterministic-plane phase markers and one iteration
-  /// record per committed search move (published on the calling thread in
-  /// iteration order — byte-identical for any num_threads) plus process-plane
-  /// Phase-2 progress ticks. Honors the global telemetry kill switch.
+  /// runs it receives process-plane Phase-2 progress ticks; on return the
+  /// deterministic-plane stream rendered from the OptimizeResult is appended
+  /// (phase markers, one iteration record per `trace` move, phase totals —
+  /// byte-identical for any num_threads). Honors the global telemetry kill
+  /// switch.
   telemetry::EventBus* events = nullptr;
 };
 
@@ -142,6 +143,8 @@ struct OptimizeResult {
   double phase1_seconds = 0.0;
   double phase1b_seconds = 0.0;
   double phase2_seconds = 0.0;
+  long phase1_iterations = 0;
+  long phase2_iterations = 0;
   long phase1_evaluations = 0;
   long phase2_evaluations = 0;
   long phase2_scenario_evaluations = 0;  ///< failure-scenario evals inside Phase 2

@@ -246,12 +246,6 @@ CampaignResult run_campaign(const Campaign& campaign, const CampaignOptions& opt
     for (const auto& bus : cell_buses) {
       if (!bus) continue;
       for (telemetry::Event& e : bus->drain()) event_sink->publish(std::move(e));
-      if (const std::uint64_t dropped = bus->dropped(); dropped > 0) {
-        telemetry::Event e;
-        e.kind = telemetry::EventKind::kDrops;
-        e.value = dropped;
-        telemetry::publish_process(event_sink, std::move(e));
-      }
     }
   }
 

@@ -1,6 +1,5 @@
 #include "telemetry/events.h"
 
-#include <cassert>
 #include <chrono>
 #include <ostream>
 #include <utility>
@@ -10,12 +9,6 @@
 namespace dtr::telemetry {
 
 namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 std::uint64_t process_wall_ms() {
   using Clock = std::chrono::steady_clock;
@@ -36,55 +29,18 @@ std::string_view to_string(EventKind kind) {
     case EventKind::kCellFinish: return "cell_finish";
     case EventKind::kProgress: return "progress";
     case EventKind::kCounterDelta: return "counter_delta";
-    case EventKind::kDrops: return "drops";
   }
   return "unknown";
 }
 
-EventBus::EventBus(std::size_t capacity) : slots_(round_up_pow2(capacity < 2 ? 2 : capacity)) {
-  mask_ = slots_.size() - 1;
-  for (std::size_t i = 0; i < slots_.size(); ++i)
-    slots_[i].seq.store(i, std::memory_order_relaxed);
-}
-
-bool EventBus::publish(Event e) {
-  std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    Slot& slot = slots_[pos & mask_];
-    const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    const std::int64_t dif = static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-    if (dif == 0) {
-      if (enqueue_pos_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-        slot.event = std::move(e);
-        slot.seq.store(pos + 1, std::memory_order_release);
-        published_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      // CAS updated `pos`; retry against the new head.
-    } else if (dif < 0) {
-      // The slot one lap behind is still unconsumed: ring full.
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    } else {
-      pos = enqueue_pos_.load(std::memory_order_relaxed);
-    }
-  }
+void EventBus::publish(Event e) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  events_.push_back(std::move(e));
 }
 
 std::vector<Event> EventBus::drain() {
-  std::vector<Event> out;
-  std::uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    Slot& slot = slots_[pos & mask_];
-    const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    if (seq != pos + 1) break;  // next slot not yet published
-    out.push_back(std::move(slot.event));
-    slot.event = Event{};
-    slot.seq.store(pos + slots_.size(), std::memory_order_release);
-    ++pos;
-  }
-  dequeue_pos_.store(pos, std::memory_order_relaxed);
-  return out;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return std::exchange(events_, {});
 }
 
 std::string event_json_line(const Event& e) {
@@ -125,9 +81,6 @@ std::string event_json_line(const Event& e) {
     case EventKind::kCounterDelta:
       line += ",\"delta\":" + std::to_string(e.value);
       break;
-    case EventKind::kDrops:
-      line += ",\"dropped\":" + std::to_string(e.value);
-      break;
     default:
       break;
   }
@@ -151,13 +104,6 @@ void publish_process(EventBus* bus, Event e) {
   if (bus == nullptr) return;
   e.plane = Plane::kProcess;
   e.wall_ms = process_wall_ms();
-  bus->publish(std::move(e));
-}
-
-void publish_deterministic(EventBus* bus, Event e) {
-  if (bus == nullptr) return;
-  e.plane = Plane::kDeterministic;
-  assert(e.wall_ms == 0 && "deterministic events must not carry wall-clock data");
   bus->publish(std::move(e));
 }
 

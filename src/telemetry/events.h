@@ -1,31 +1,28 @@
 #pragma once
 
 /// Streaming progress events: the front end the PR-7 registry was missing.
-/// While a run is alive, instrumented code publishes typed events — optimizer
+/// Instrumented code publishes typed events — optimizer phase markers and
 /// iteration records, campaign cell heartbeats, sweep progress, registry
-/// snapshot deltas — onto a bounded MPSC ring (EventBus) that a consumer
+/// snapshot deltas — onto a mutex-guarded queue (EventBus) that a consumer
 /// drains into a schema-versioned `dtr.events.v1` JSONL sink.
 ///
 /// Events carry the same two-plane contract as the registry:
 ///
 ///  - Plane::kDeterministic — iteration-indexed records with NO wall-clock
-///    fields, byte-identical for any worker/thread shape. Producers publish
-///    them on the calling thread in deterministic order (the LocalSearch
-///    accept-hook contract), and the campaign engine gives each cell its own
-///    bus, drained into the sink in campaign order after the parallel
-///    barrier — exactly the per-cell-registry pattern.
-///  - Plane::kProcess — timestamped heartbeats, progress ticks, and drop
-///    counts. Excluded from golden diffs (`"plane":"process"` lines are
-///    filtered out by the CI gate).
+///    fields, byte-identical for any worker/thread shape. The optimizer
+///    renders them from its finished OptimizeResult when optimize()
+///    returns, and the campaign engine gives each cell its own bus, drained
+///    into the sink in campaign order after the parallel barrier — exactly
+///    the per-cell-registry pattern.
+///  - Plane::kProcess — timestamped heartbeats, progress ticks and counter
+///    deltas, published live. Excluded from golden diffs (`"plane":"process"`
+///    lines are filtered out by the CI gate).
 ///
-/// Overflow never blocks a producer: publish() on a full ring bumps an atomic
-/// drop counter and returns false; the drain side reports the total as a
-/// process-plane `drops` event so lossy streams are visible, not silent.
+/// The queue is unbounded, so a stream never loses an event.
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,14 +42,13 @@ enum class EventKind : std::uint8_t {
   kCellFinish,    ///< process: campaign cell heartbeat (label = cell id)
   kProgress,      ///< process: sweep progress, `done` of `total` units
   kCounterDelta,  ///< process: registry snapshot delta (label = counter name)
-  kDrops,         ///< process: ring-overflow total emitted by the drain side
 };
 
 std::string_view to_string(EventKind kind);
 
-/// One typed progress event. A single flat struct (not a variant) keeps the
-/// ring slots trivially reusable; writers emit only the fields meaningful for
-/// the kind. `wall_ms` stays 0 for deterministic-plane events by construction.
+/// One typed progress event. A single flat struct (not a variant); writers
+/// emit only the fields meaningful for the kind. `wall_ms` stays 0 for
+/// deterministic-plane events by construction.
 struct Event {
   EventKind kind = EventKind::kSchema;
   Plane plane = Plane::kDeterministic;
@@ -65,45 +61,22 @@ struct Event {
   bool restart = false;            ///< kIteration: restart adoption, not a probe accept
   std::uint64_t done = 0;          ///< kProgress: units finished
   std::uint64_t total = 0;         ///< kProgress: units overall
-  std::uint64_t value = 0;         ///< kCounterDelta: counter increment; kDrops: total
+  std::uint64_t value = 0;         ///< kCounterDelta: counter increment
   std::uint64_t wall_ms = 0;       ///< process plane only: ms since an arbitrary epoch
 };
 
-/// Bounded multi-producer single-consumer ring (Vyukov-style sequence-numbered
-/// slots). publish() is wait-free apart from the CAS loop; a full ring drops
-/// the event (atomic drop count) instead of blocking the search hot path.
-/// drain() must be called from one thread at a time.
+/// Multi-producer event queue: a mutex-guarded vector. publish() never drops
+/// an event; the lock is held for one push_back (publish) or one swap (drain).
 class EventBus {
  public:
-  /// Capacity is rounded up to a power of two; default holds a full smoke
-  /// run's iteration records with headroom.
-  explicit EventBus(std::size_t capacity = 1 << 16);
+  void publish(Event e);
 
-  EventBus(const EventBus&) = delete;
-  EventBus& operator=(const EventBus&) = delete;
-
-  /// Enqueues a copy of `e`. Returns false (and counts a drop) when full.
-  bool publish(Event e);
-
-  /// Removes and returns every event currently in the ring, in FIFO order.
+  /// Removes and returns every queued event, in FIFO order.
   std::vector<Event> drain();
 
-  std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  std::uint64_t published() const { return published_.load(std::memory_order_relaxed); }
-  std::size_t capacity() const { return slots_.size(); }
-
  private:
-  struct Slot {
-    std::atomic<std::uint64_t> seq;
-    Event event;
-  };
-
-  std::vector<Slot> slots_;
-  std::uint64_t mask_ = 0;
-  alignas(64) std::atomic<std::uint64_t> enqueue_pos_{0};
-  alignas(64) std::atomic<std::uint64_t> dequeue_pos_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> published_{0};
+  std::mutex mutex_;
+  std::vector<Event> events_;
 };
 
 /// Serializes one event as a single compact JSON line (no trailing newline):
@@ -122,10 +95,6 @@ void write_events_jsonl(std::ostream& os, const std::vector<Event>& events);
 /// Publishes a process-plane event stamped with wall_ms (milliseconds since
 /// the first call in this process — monotonic, not absolute). Null bus = no-op.
 void publish_process(EventBus* bus, Event e);
-
-/// Publishes a deterministic-plane event (asserts wall_ms stays 0). Null bus
-/// = no-op.
-void publish_deterministic(EventBus* bus, Event e);
 
 /// Emits one kCounterDelta event per deterministic counter whose value in
 /// `now` exceeds its value in `before` (process plane: the snapshot cadence
