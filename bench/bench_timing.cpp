@@ -282,6 +282,40 @@ BENCHMARK(BM_CompoundFailureSweep)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
+// Node-failure sweep: every single-node failure on the smoke fixture through
+// evaluate_failures. A node scenario removes all of its node's arcs and
+// skips its demands; the anchored side delta-patches it from the base (its
+// delay DP runs in full), the other recomputes 2n Dijkstras. Results are
+// bit-identical across the toggle; the acceptance metric is the ratio.
+// ---------------------------------------------------------------------------
+
+void BM_NodeFailureSweep(benchmark::State& state) {
+  const bool incremental = state.range(0) != 0;
+  const Workload& workload = fixture().workload;
+  EvaluatorConfig config;
+  config.incremental = incremental;
+  const Evaluator ev(workload.graph, workload.traffic, workload.params, config);
+  WeightSetting w(ev.graph().num_links());
+  Rng rng(seed_from_env(1));
+  randomize_weights(w, 30, rng);
+  const std::vector<FailureScenario> scenarios = all_node_failures(ev.graph());
+
+  double checksum = 0.0;
+  for (auto _ : state) {
+    ev.invalidate_base_cache();  // isolate the per-call cost: rebuild the anchor
+    const auto results = ev.evaluate_failures(w, scenarios);
+    checksum += results.front().phi;
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetLabel(incremental ? "incremental" : "full");
+  state.counters["nodes"] = static_cast<double>(ev.graph().num_nodes());
+}
+BENCHMARK(BM_NodeFailureSweep)
+    ->ArgNames({"incremental"})
+    ->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
 // Anchored evaluation vs full recompute (EvaluatorConfig::incremental) on
 // the quick optimizer run, whose time is mostly Phase 2: every candidate is
 // patched once from the incumbent's anchor for its constraint check and its

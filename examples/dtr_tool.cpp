@@ -58,14 +58,16 @@
 /// JSON artifact itself is byte-identical with or without these flags.
 /// DTR_TELEMETRY_OFF=1 disables all collection.
 ///
-/// Streaming: --events-out attaches an event bus to the run and writes the
-/// stream as dtr.events.v1 JSONL — deterministic-plane lines (iteration
-/// records, phase markers) are byte-identical for any --workers /
-/// --inner-threads shape; process-plane lines (heartbeats, progress ticks,
-/// counter deltas) carry wall_ms and are excluded from golden diffs. Campaign
-/// cells opt in with the `events = 1` spec key. --metrics-port N serves
-/// the live registry in Prometheus text format on 127.0.0.1:N for the
-/// duration of the run (port 0 picks an ephemeral port, printed at startup).
+/// Streaming: --events-out attaches an event bus to the run and streams it
+/// to a dtr.events.v1 JSONL file, appending about every 200 ms while the run
+/// is alive — deterministic-plane lines (iteration records, phase markers)
+/// are byte-identical for any --workers / --inner-threads shape;
+/// process-plane lines (heartbeats, progress ticks, counter deltas) carry
+/// wall_ms and are excluded from golden diffs. Campaign cells opt in with
+/// the `events = 1` spec key; their events reach the file once every cell
+/// is done. --metrics-port N serves the live registry in Prometheus text
+/// format on 127.0.0.1:N for the duration of the run (port 0 picks an
+/// ephemeral port, printed at startup).
 /// `dtr_tool tail FILE` pretty-prints an events file; --follow keeps reading
 /// as the producer appends.
 ///
@@ -104,11 +106,13 @@
 
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -193,17 +197,63 @@ void export_telemetry(const telemetry::Registry& registry, const std::string& na
   }
 }
 
-/// Drains `bus` into a dtr.events.v1 JSONL file: schema header, then every
-/// queued event in FIFO order.
-void export_events(telemetry::EventBus& bus, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) usage_error("cannot write " + path);
-  telemetry::write_events_header(out);
-  const std::vector<telemetry::Event> events = bus.drain();
-  telemetry::write_events_jsonl(out, events);
-  finish_write(out, path);
-  std::cout << "wrote " << events.size() << " events to " << path << "\n";
-}
+/// Streams `bus` into a dtr.events.v1 JSONL file while a run is alive. The
+/// file is opened and its schema header written before the run, so an
+/// unwritable path exits 2 up front; a writer thread appends the queued
+/// events about every 200 ms (what `dtr_tool tail --follow` shows live), and
+/// finish() appends the rest after the run. Every append is a FIFO drain of
+/// whole lines, so the final bytes equal one drain written at exit.
+class EventFileStream {
+ public:
+  EventFileStream(telemetry::EventBus& bus, const std::string& path)
+      : bus_(bus), path_(path), out_(path) {
+    if (!out_) usage_error("cannot write " + path);
+    telemetry::write_events_header(out_);
+    out_.flush();
+    writer_ = std::thread([this] {
+      std::unique_lock<std::mutex> lock(mu_);
+      while (!stop_.wait_for(lock, std::chrono::milliseconds(200), [this] { return done_; }))
+        append();
+    });
+  }
+  EventFileStream(const EventFileStream&) = delete;
+  EventFileStream& operator=(const EventFileStream&) = delete;
+  ~EventFileStream() { stop(); }
+
+  /// Stops the writer thread and appends what is still queued.
+  void finish() {
+    stop();
+    append();
+    finish_write(out_, path_);
+    std::cout << "wrote " << written_ << " events to " << path_ << "\n";
+  }
+
+ private:
+  void stop() {
+    if (!writer_.joinable()) return;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    stop_.notify_one();
+    writer_.join();
+  }
+  void append() {
+    const std::vector<telemetry::Event> events = bus_.drain();
+    telemetry::write_events_jsonl(out_, events);
+    out_.flush();
+    written_ += events.size();
+  }
+
+  telemetry::EventBus& bus_;
+  std::string path_;
+  std::ofstream out_;
+  std::size_t written_ = 0;
+  std::mutex mu_;
+  std::condition_variable stop_;
+  bool done_ = false;
+  std::thread writer_;
+};
 
 /// Starts a metrics exposer when `port` >= 0, announcing the bound address
 /// (meaningful with port 0, where the kernel picks). Bind failures are usage
@@ -418,7 +468,11 @@ int run_campaign_command(int argc, char** argv) {
   if (!telemetry_json.empty() || !trace_out.empty() || metrics_port >= 0)
     options.telemetry = &registry;
   telemetry::EventBus event_sink;
-  if (!events_out.empty()) options.events = &event_sink;
+  std::optional<EventFileStream> event_stream;
+  if (!events_out.empty()) {
+    options.events = &event_sink;
+    event_stream.emplace(event_sink, events_out);
+  }
   const auto exposer = start_exposer(registry, metrics_port);
   const exp::CampaignResult result = exp::run_campaign(campaign, options);
 
@@ -445,7 +499,7 @@ int run_campaign_command(int argc, char** argv) {
     table.print(std::cout);
   }
   export_telemetry(registry, campaign.name, telemetry_json, trace_out);
-  if (!events_out.empty()) export_events(event_sink, events_out);
+  if (event_stream) event_stream->finish();
   int failures = 0;
   for (const exp::CellResult& cell : result.cells)
     if (!cell.error.empty()) ++failures;
@@ -686,6 +740,8 @@ int main(int argc, char** argv) {
       usage_error(e.what());
     }
   }
+  std::optional<EventFileStream> event_stream;
+  if (!opt.events_out.empty()) event_stream.emplace(events, opt.events_out);
   RobustOptimizer optimizer(evaluator, config);
   const OptimizeResult result = optimizer.optimize();
 
@@ -742,6 +798,6 @@ int main(int argc, char** argv) {
     evaluator.flush_cache_stats_to_telemetry();
     export_telemetry(registry, "dtr_tool", opt.telemetry_json, opt.trace_out);
   }
-  if (!opt.events_out.empty()) export_events(events, opt.events_out);
+  if (event_stream) event_stream->finish();
   return 0;
 }

@@ -86,26 +86,17 @@ struct Evaluator::AnchorState {
 
 namespace {
 
-/// Arc-removal scenarios patch cleanly from the no-failure base; scenarios
-/// that fail nodes (kNode, compound with nodes) also drop those nodes'
-/// demands, which the replay records don't capture — those take the full
-/// path.
-bool incremental_eligible(const FailureScenario& s) {
-  return skipped_nodes(s).empty();
-}
-
-/// Scenarios the base actually accelerates beyond a plain no-failure replay:
-/// arc removals — single links, link pairs, and links-only compound
-/// scenarios — that patch instead of recompute.
+/// Scenarios that patch from the base instead of being served from it:
+/// every scenario that fails an element — links, nodes or both. A failed
+/// node's arcs are removed like a link's, and its demands are skipped.
 bool incremental_patchable(const FailureScenario& s) {
   switch (s.kind) {
-    case FailureScenario::Kind::kLink:
-    case FailureScenario::Kind::kLinkPair:
-      return true;
-    case FailureScenario::Kind::kCompound:
-      return s.nodes.empty() && !s.links.empty();
-    default:
+    case FailureScenario::Kind::kNone:
       return false;
+    case FailureScenario::Kind::kCompound:
+      return !s.links.empty() || !s.nodes.empty();
+    default:
+      return true;
   }
 }
 
@@ -418,7 +409,7 @@ EvalResult Evaluator::evaluate(const WeightSetting& w, const FailureScenario& sc
     throw std::invalid_argument("Evaluator::evaluate: weight setting size mismatch");
 
   Scratch& scratch = worker_scratch();
-  if (state_ == nullptr || !incremental_eligible(scenario)) {
+  if (state_ == nullptr) {
     w.arc_costs(graph_, TrafficClass::kDelay, scratch.cost_delay);
     w.arc_costs(graph_, TrafficClass::kThroughput, scratch.cost_tput);
     return evaluate_impl(scratch.cost_delay, scratch.cost_tput, scenario, detail, scratch);
@@ -461,24 +452,25 @@ EvalResult Evaluator::evaluate_impl(std::span<const double> cost_delay,
   if (stats != nullptr) s.failure.reset_stats();
 
   bool patched = false;
-  if (base != nullptr && incremental_eligible(scenario)) {
+  if (base != nullptr) {
     if (scenario.kind == FailureScenario::Kind::kNone) {
       if (stats != nullptr) ++stats->scenarios_served_none;
       return serve_none_from_base(*base, detail);
     }
     if (incremental_patchable(scenario) && base->has_records) {
       // One compound representation internally: every patchable kind —
-      // kLink, kLinkPair, kCompound — collects its dead arcs through the
-      // same element dispatch and rides the same multi-arc delta update.
+      // kLink, kNode, kLinkPair, kCompound — collects its dead arcs through
+      // the same element dispatch and rides the same multi-arc delta update;
+      // failed nodes also skip their demands.
       s.removed.clear();
       for_each_failed_arc(graph_, scenario, [&](ArcId a) { s.removed.push_back(a); });
       const double fraction = config_.incremental_max_affected_fraction;
       s.delay_routing.compute_from_base(graph_, cost_delay, traffic_.delay, base->delay,
                                         base->delay_record, s.removed, s.mask, fraction,
-                                        s.failure);
+                                        s.failure, skip);
       s.tput_routing.compute_from_base(graph_, cost_tput, traffic_.throughput,
                                        base->tput, base->tput_record, s.removed, s.mask,
-                                       fraction, s.failure);
+                                       fraction, s.failure, skip);
       patched = true;
     }
   }
@@ -524,9 +516,11 @@ EvalResult Evaluator::finish_scenario(std::span<const double> cost_delay,
 
   // Lambda: SLA cost over delay-class SD pairs. A patched routing with a
   // delay-DP base skips the DP for destinations whose recorded inputs are
-  // bitwise unchanged (same float terms, same order as the full DP).
+  // bitwise unchanged (same float terms, same order as the full DP). With
+  // skipped nodes every column runs the DP: a base column still holds the
+  // skipped sources' rows.
   std::vector<double>& sd_delay = s.sd_delay;
-  if (patched && config_.incremental_delay) {
+  if (patched && skip.empty() && config_.incremental_delay) {
     delay_routing.end_to_end_delays_from_base(
         graph_, cost_delay, s.mask, arc_delay, traffic_.delay, params_.sla_delay_mode,
         base->arc_delay, base->sd_delay, base->dp_index, s.failure, sd_delay);
@@ -591,8 +585,7 @@ std::vector<EvalResult> Evaluator::evaluate_failures(
     EvalDetail detail) const {
   if (w.num_links() != graph_.num_links())
     throw std::invalid_argument("Evaluator::evaluate_failures: weight setting size mismatch");
-  const bool eligible = std::any_of(scenarios.begin(), scenarios.end(), incremental_eligible);
-  return evaluate_failures(bind(w, eligible), scenarios, pool, detail);
+  return evaluate_failures(bind(w, !scenarios.empty()), scenarios, pool, detail);
 }
 
 std::vector<EvalResult> Evaluator::evaluate_failures(
@@ -673,8 +666,7 @@ SweepResult Evaluator::sweep(const WeightSetting& w,
                              const SweepOptions& options) const {
   if (w.num_links() != graph_.num_links())
     throw std::invalid_argument("Evaluator::sweep: weight setting size mismatch");
-  const bool eligible = std::any_of(scenarios.begin(), scenarios.end(), incremental_eligible);
-  return sweep(bind(w, eligible), scenarios, options);
+  return sweep(bind(w, !scenarios.empty()), scenarios, options);
 }
 
 SweepResult Evaluator::sweep(const EvalProbe& probe,

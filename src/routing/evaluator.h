@@ -47,14 +47,13 @@ struct EvaluatorConfig {
   /// Anchored evaluation. The evaluator keeps one ANCHOR base — both class
   /// routings of a weight setting plus their replay records, delay-DP index
   /// and no-failure products — and serves every evaluation from it:
-  /// arc-removal scenarios (single links, link pairs, links-only compound
-  /// scenarios such as SRLGs) are delta-patched from the base — distance
-  /// labels delta-updated per destination, untouched destinations replaying
-  /// their recorded load contributions — and no-failure evaluations of the
-  /// anchor's weights are served from it outright. Scenarios that fail nodes
-  /// always take the full path (their skip semantics change the demand set,
-  /// not just arcs). Off = every evaluation is a full recompute (the
-  /// reference oracle).
+  /// failure scenarios (single links, link pairs, nodes, compound scenarios
+  /// such as SRLGs) are delta-patched from the base — distance labels
+  /// delta-updated per destination, untouched destinations replaying their
+  /// recorded load contributions, and a failed node's demands skipped — and
+  /// no-failure evaluations of the anchor's weights are served from it
+  /// outright. Off = every evaluation is a full recompute (the reference
+  /// oracle).
   bool incremental = true;
   /// Per-destination fallback: when a failure invalidates more than this
   /// fraction of one destination's distance labels, that destination is
@@ -66,7 +65,8 @@ struct EvaluatorConfig {
   /// marks the destinations whose DAG changed or whose recorded arc delays
   /// are not bitwise identical to the base, runs the DP for those only, and
   /// replays the base's delay column for the rest — bit-identical by
-  /// construction (same float terms, same order).
+  /// construction (same float terms, same order). Scenarios that fail a
+  /// node run the full DP over their patched routing.
   bool incremental_delay = true;
   /// Weight-delta probe patching: weights differing from the anchor's on at
   /// most this many links (either class) get their base — labels, DAGs,
@@ -392,10 +392,10 @@ class Evaluator {
   struct AnchorState;
 
   /// Core evaluation with pre-expanded arc costs and caller-owned scratch.
-  /// A non-null `base` routes eligible scenarios through the incremental
-  /// path (bit-identical to the full one). A non-null `stats` receives this
-  /// one evaluation's deterministic counters (the caller owns aggregation
-  /// order).
+  /// A non-null `base` serves a no-failure scenario and, when it carries
+  /// replay records, patches every other one (bit-identical to the full
+  /// path). A non-null `stats` receives this one evaluation's deterministic
+  /// counters (the caller owns aggregation order).
   EvalResult evaluate_impl(std::span<const double> cost_delay,
                            std::span<const double> cost_tput,
                            const FailureScenario& scenario, EvalDetail detail,
@@ -404,9 +404,10 @@ class Evaluator {
 
   /// Everything downstream of the two class routings sitting in `scratch`:
   /// total loads, arc delays, the SLA delay path (incremental when `patched`
-  /// and the base carries a DP index), cost aggregation, and the kFull
-  /// detail. Shared by evaluate_impl and evaluate_with_labels so the float
-  /// operations are literally the same code.
+  /// with no skipped node and the base carries a DP index), cost
+  /// aggregation, and the kFull detail. Shared by evaluate_impl and
+  /// evaluate_with_labels so the float operations are literally the same
+  /// code.
   EvalResult finish_scenario(std::span<const double> cost_delay,
                              std::span<const NodeId> skip, EvalDetail detail,
                              Scratch& s, bool patched, const EvalBase* base) const;

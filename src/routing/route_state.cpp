@@ -271,7 +271,8 @@ void ClassRouting::compute_from_base(const Graph& g, std::span<const double> arc
                                      std::span<const ArcId> removed_arcs,
                                      ArcAliveMask alive_mask,
                                      double max_affected_fraction,
-                                     FailureScratch& scratch) {
+                                     FailureScratch& scratch,
+                                     std::span<const NodeId> skip_nodes) {
   if (demands.num_nodes() != g.num_nodes())
     throw std::invalid_argument("ClassRouting: traffic matrix / graph size mismatch");
   const std::size_t n = g.num_nodes();
@@ -293,6 +294,13 @@ void ClassRouting::compute_from_base(const Graph& g, std::span<const double> arc
                                      static_cast<double>(n));
 
   for (NodeId t = 0; t < n; ++t) {
+    if (is_skipped(skip_nodes, t)) {
+      // compute()'s skipped destination: labels, no sweep. Its arcs are
+      // dead, so the Dijkstra settles t alone.
+      shortest_distances_to(g, t, arc_cost, alive_mask, dist_[t]);
+      dag_offset_.push_back(dag_arc_.size());
+      continue;
+    }
     dist_[t] = base.dist_[t];
     const std::ptrdiff_t touched = delta_spf_remove_arcs(
         g, arc_cost, alive_mask, removed_arcs, dist_[t], cap, scratch.spf_);
@@ -309,6 +317,10 @@ void ClassRouting::compute_from_base(const Graph& g, std::span<const double> arc
       scratch.stats_.boundary_seeds += scratch.spf_.last_boundary_seeds();
       scratch.stats_.observe_affected(static_cast<std::uint64_t>(touched));
     }
+    // A skipped source's demand toward t leaves the sweep's seeds (and the
+    // recorded disconnection subtotals).
+    for (std::size_t i = 0; i < skip_nodes.size() && !affected; ++i)
+      affected = demands.at(skip_nodes[i], t) > 0.0;
     if (!affected) {
       // Distances survived, but a removed arc that was tight (by the sweep's
       // epsilon predicate) still changes the ECMP splits at its source.
@@ -321,7 +333,8 @@ void ClassRouting::compute_from_base(const Graph& g, std::span<const double> arc
       }
     }
     if (affected) {
-      sweep_destination(g, arc_cost, demands, alive_mask, {}, t, scratch.dag_, nullptr);
+      sweep_destination(g, arc_cost, demands, alive_mask, skip_nodes, t, scratch.dag_,
+                        nullptr);
       ++scratch.stats_.dests_resweep;
     } else {
       // Untouched DAG: replay the base's DAG and contributions.

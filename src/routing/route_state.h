@@ -191,23 +191,26 @@ class ClassRouting {
                std::span<const NodeId> skip_nodes = {},
                RoutingBaseRecord* record = nullptr);
 
-  /// Incremental recompute of this routing under an arc-removal failure,
-  /// patching from `base` — the same graph/costs/demands with every removed
-  /// arc alive, computed WITH `record`. Produces bitwise-identical state to
-  /// compute() under `alive`: per destination, distance labels are
-  /// delta-updated (falling back to a full Dijkstra when the delta would
-  /// touch more than `max_affected_fraction` of the nodes), and load /
-  /// disconnection contributions are replayed from the record when the
-  /// destination's DAG is untouched, re-swept otherwise.
+  /// Incremental recompute of this routing under a failure, patching from
+  /// `base` — the same graph/costs/demands with every removed arc alive and
+  /// no skipped node, computed WITH `record`. Produces bitwise-identical
+  /// state to compute() under `alive` and `skip_nodes`: per destination,
+  /// distance labels are delta-updated (falling back to a full Dijkstra when
+  /// the delta would touch more than `max_affected_fraction` of the nodes),
+  /// and load / disconnection contributions are replayed from the record
+  /// when the destination's DAG and demand set are untouched, re-swept
+  /// otherwise. A skipped destination gets its labels from a direct
+  /// Dijkstra and no sweep, as in compute().
   ///
-  /// `alive` must be the base mask with exactly `removed_arcs` cleared.
-  /// Node-failure scenarios (skip semantics) are not supported; use
-  /// compute().
+  /// `alive` must be the base mask with exactly `removed_arcs` cleared; a
+  /// node failure lists every arc incident to its node there (then the
+  /// skipped destination's Dijkstra settles it alone).
   void compute_from_base(const Graph& g, std::span<const double> arc_cost,
                          const TrafficMatrix& demands, const ClassRouting& base,
                          const RoutingBaseRecord& record,
                          std::span<const ArcId> removed_arcs, ArcAliveMask alive,
-                         double max_affected_fraction, FailureScratch& scratch);
+                         double max_affected_fraction, FailureScratch& scratch,
+                         std::span<const NodeId> skip_nodes = {});
 
   /// Incremental recompute of this NO-FAILURE routing under an arc COST
   /// change, patching from `base` — the same graph/demands routed under
@@ -280,8 +283,9 @@ class ClassRouting {
 
   /// Per-destination replay outcome of the last compute_from_base: 1 where
   /// the destination's DAG survived the failure untouched (loads were
-  /// replayed), 0 where it was re-swept. Empty unless this routing was
-  /// produced by compute_from_base — the incremental delay DP keys off it.
+  /// replayed), 0 where it was re-swept or skipped. Empty unless this
+  /// routing was produced by compute_from_base — the incremental delay DP
+  /// keys off it.
   std::span<const std::uint8_t> replayed_destinations() const { return replayed_; }
 
   /// Per-SD-pair end-to-end delay xi(s,t) for this class's DAGs, given
@@ -315,8 +319,9 @@ class ClassRouting {
   /// `base_sd_delay_ms` / `base_arc_delay_ms` are the no-failure base's DP
   /// output and per-arc delays; `index` was recorded by the base's
   /// end_to_end_delays. `arc_cost`, `alive` and `demands` must be the
-  /// routing's own; `arc_cost` and `alive` are not read. Node-failure
-  /// scenarios (skip semantics) are not supported; use end_to_end_delays.
+  /// routing's own; `arc_cost` and `alive` are not read. Routings patched
+  /// with skipped nodes are not supported (a base column still holds the
+  /// skipped sources' rows); use end_to_end_delays.
   void end_to_end_delays_from_base(const Graph& g, std::span<const double> arc_cost,
                                    ArcAliveMask alive,
                                    std::span<const double> arc_delay_ms,

@@ -10,7 +10,8 @@
 ///   1. delta_spf_update_arcs (weight deltas: increases, decreases, and
 ///      dead-arc removals, multi-link change lists) vs a full Dijkstra;
 ///   2. failure-scenario evaluation (single links, link pairs, links-only
-///      compound scenarios, node failures) incremental vs full;
+///      compound scenarios, node failures, compounds failing nodes and
+///      links) incremental vs full, on paper-style and generated ISP graphs;
 ///   3. weight-delta probe patching (Phase-1 probe shape: neighbors of an
 ///      anchored incumbent) vs scratch-built bases, plus the cross-trial
 ///      shared-labels path of evaluate_fluctuations vs per-trial evaluators.
@@ -143,17 +144,31 @@ void fuzz_delta_spf(Rng& rng) {
   }
 }
 
+/// A seeded paper-style random graph of 8-14 nodes, or a generated ISP
+/// graph of 24-48 routers.
+experiments::Workload fuzz_workload(Rng& rng, bool isp) {
+  experiments::WorkloadSpec spec;
+  if (isp) {
+    spec.kind = experiments::TopologyKind::kIsp;
+    spec.isp_source = experiments::IspSource::kGenerated;
+    spec.nodes = rng.uniform_int(24, 48);
+    spec.isp_pops = rng.uniform_int(3, 6);
+  } else {
+    spec.kind = experiments::TopologyKind::kRand;
+    spec.nodes = rng.uniform_int(8, 14);
+    spec.degree = 3.0 + static_cast<double>(rng.uniform_int(0, 15)) / 10.0;
+  }
+  spec.seed = rng.split().seed();
+  return experiments::make_workload(spec);
+}
+
 /// Layers 2+3: full evaluation stack — scenarios and weight-delta donors.
 /// The incumbent's weights are drawn from [1, wmax] and probe weights from
 /// [1, max(wmax, 2)], so wmax = 1 starts from all-equal weights.
-void fuzz_evaluator(Rng& rng, int wmax) {
-  experiments::WorkloadSpec spec;
-  spec.kind = experiments::TopologyKind::kRand;
-  spec.nodes = rng.uniform_int(8, 14);
-  spec.degree = 3.0 + static_cast<double>(rng.uniform_int(0, 15)) / 10.0;
-  spec.seed = rng.split().seed();
-  const experiments::Workload w = experiments::make_workload(spec);
+void fuzz_evaluator(Rng& rng, int wmax, bool isp) {
+  const experiments::Workload w = fuzz_workload(rng, isp);
   const int num_links = static_cast<int>(w.graph.num_links());
+  const int num_nodes = static_cast<int>(w.graph.num_nodes());
 
   EvaluatorConfig fast_cfg;  // defaults: anchored, with probe patching
   EvaluatorConfig full_cfg;
@@ -165,8 +180,8 @@ void fuzz_evaluator(Rng& rng, int wmax) {
   randomize_weights(incumbent, wmax, rng);
 
   // Scenario soup: the none case, random links, a pair, a links-only
-  // compound, and a node failure (always full path — both sides must agree
-  // there too).
+  // compound, a node failure, and a compound failing 1-2 nodes plus links
+  // (the anchored side patches them all).
   std::vector<FailureScenario> scenarios;
   scenarios.push_back(FailureScenario::none());
   for (int i = 0; i < 4; ++i)
@@ -181,8 +196,17 @@ void fuzz_evaluator(Rng& rng, int wmax) {
       links.push_back(static_cast<LinkId>(rng.uniform_int(0, num_links - 1)));
     scenarios.push_back(FailureScenario::compound(std::move(links)));
   }
-  scenarios.push_back(FailureScenario::node(
-      static_cast<NodeId>(rng.uniform_int(0, static_cast<int>(w.graph.num_nodes()) - 1))));
+  scenarios.push_back(
+      FailureScenario::node(static_cast<NodeId>(rng.uniform_int(0, num_nodes - 1))));
+  {
+    std::vector<LinkId> links;
+    std::vector<NodeId> nodes;
+    for (int i = 0, k = rng.uniform_int(1, 2); i < k; ++i)
+      nodes.push_back(static_cast<NodeId>(rng.uniform_int(0, num_nodes - 1)));
+    for (int i = 0, k = rng.uniform_int(1, 3); i < k; ++i)
+      links.push_back(static_cast<LinkId>(rng.uniform_int(0, num_links - 1)));
+    scenarios.push_back(FailureScenario::compound(std::move(links), std::move(nodes)));
+  }
 
   // The incumbent, then Phase-1-probe-shaped neighbors (1-2 changed links):
   // after the first evaluation the fast evaluator's one-link probes are
@@ -205,7 +229,8 @@ void fuzz_evaluator(Rng& rng, int wmax) {
       const EvalResult a = fast.evaluate(settings[s], scenarios[i], EvalDetail::kFull);
       const EvalResult b = full.evaluate(settings[s], scenarios[i], EvalDetail::kFull);
       if (!results_identical(a, b))
-        report_divergence("evaluate", "wmax " + std::to_string(wmax) + " setting " +
+        report_divergence("evaluate", std::string(isp ? "isp" : "rand") + " wmax " +
+                                          std::to_string(wmax) + " setting " +
                                           std::to_string(s) + " scenario " +
                                           std::to_string(i) + " (" +
                                           to_string(scenarios[i]) + ")");
@@ -332,19 +357,7 @@ void fuzz_search(Rng& rng) {
 
 /// Layer 5: evaluator per-pair delays vs the independent sort-based oracle.
 void fuzz_delay_oracle(Rng& rng, bool isp) {
-  experiments::WorkloadSpec spec;
-  if (isp) {
-    spec.kind = experiments::TopologyKind::kIsp;
-    spec.isp_source = experiments::IspSource::kGenerated;
-    spec.nodes = rng.uniform_int(24, 48);
-    spec.isp_pops = rng.uniform_int(3, 6);
-  } else {
-    spec.kind = experiments::TopologyKind::kRand;
-    spec.nodes = rng.uniform_int(8, 14);
-    spec.degree = 3.0 + static_cast<double>(rng.uniform_int(0, 15)) / 10.0;
-  }
-  spec.seed = rng.split().seed();
-  experiments::Workload w = experiments::make_workload(spec);
+  experiments::Workload w = fuzz_workload(rng, isp);
   if (rng.uniform_int(0, 1) == 1) w.params.sla_delay_mode = SlaDelayMode::kWorstPath;
   const Graph& g = w.graph;
   const int num_links = static_cast<int>(g.num_links());
@@ -427,8 +440,9 @@ int main(int argc, char** argv) {
   while (std::chrono::steady_clock::now() < deadline && dtr::g_failures == 0) {
     ++dtr::g_iteration;
     dtr::fuzz_delta_spf(rng);
-    dtr::fuzz_evaluator(rng, 20);
-    dtr::fuzz_evaluator(rng, rng.uniform_int(1, 2));  // tie leg
+    dtr::fuzz_evaluator(rng, 20, /*isp=*/false);
+    dtr::fuzz_evaluator(rng, rng.uniform_int(1, 2), /*isp=*/false);  // tie leg
+    dtr::fuzz_evaluator(rng, rng.uniform_int(0, 1) == 0 ? 20 : 2, /*isp=*/true);
     dtr::fuzz_search(rng);
     dtr::fuzz_delay_oracle(rng, /*isp=*/false);
     dtr::fuzz_delay_oracle(rng, /*isp=*/true);

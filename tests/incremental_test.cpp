@@ -14,6 +14,7 @@
 #include "experiments/workloads.h"
 #include "routing/evaluator.h"
 #include "routing/failures.h"
+#include "telemetry/telemetry.h"
 #include "test_helpers.h"
 #include "util/thread_pool.h"
 
@@ -91,8 +92,9 @@ TEST(IncrementalTest, FullDetailMatchesOnBridgeTopology) {
 }
 
 TEST(IncrementalTest, MixedScenarioKindsMatchFullPath) {
-  // Node failures must fall back to the full path inside an otherwise
-  // incremental batch; link pairs ride the delta update with 4 dead arcs.
+  // Node failures patch from the anchor inside the same batch (their demands
+  // skipped, their delay DP run in full); link pairs ride the delta update
+  // with 4 dead arcs.
   const TestInstance inst = make_test_instance(12, 4.0, 13);
   const Evaluator incremental(inst.graph, inst.traffic, inst.params,
                               {.incremental = true});
@@ -113,6 +115,35 @@ TEST(IncrementalTest, MixedScenarioKindsMatchFullPath) {
   const auto ref = full.evaluate_failures(w, scenarios, nullptr, EvalDetail::kFull);
   ASSERT_EQ(inc.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) expect_results_identical(inc[i], ref[i]);
+}
+
+TEST(IncrementalTest, NodeCatalogsPatchFromTheAnchor) {
+  // All-node catalogs through every batch entry point, against the full
+  // recompute. Each node scenario counts as patched; its skipped destination
+  // is neither delta-patched nor swept, and its delay DP runs in full.
+  for (const auto& [nodes, degree, seed] : {std::tuple{12, 4.0, 13}, std::tuple{18, 3.0, 31}}) {
+    const TestInstance inst = make_test_instance(nodes, degree, seed);
+    const std::vector<FailureScenario> scenarios = all_node_failures(inst.graph);
+    const WeightSetting w = random_weights(inst.graph, 30, seed + 1);
+    const Evaluator anchored(inst.graph, inst.traffic, inst.params, {});
+    const Evaluator full(inst.graph, inst.traffic, inst.params, {.incremental = false});
+    test::expect_catalog_matches_full_path(anchored, full, w, scenarios);
+
+    telemetry::Registry reg;
+    const Evaluator counted(inst.graph, inst.traffic, inst.params, {.telemetry = &reg});
+    (void)counted.evaluate_failures(w, scenarios);
+    const telemetry::Snapshot det = reg.snapshot(telemetry::Plane::kDeterministic);
+    const std::uint64_t n = inst.graph.num_nodes();
+    const std::uint64_t swept_dests = 2 * n * (n - 1);  // two classes
+    EXPECT_EQ(det.counter("eval.patched"), n);
+    EXPECT_EQ(det.counter("eval.full"), 0u);
+    EXPECT_EQ(det.counter("load.dests_resweep") + det.counter("load.dests_replayed"),
+              swept_dests);
+    EXPECT_LE(det.counter("spf.dests_delta") + det.counter("spf.dests_full_fallback"),
+              swept_dests);
+    EXPECT_GT(det.counter("spf.dests_delta"), 0u);
+    EXPECT_EQ(det.counter("delay.cols_recomputed") + det.counter("delay.cols_replayed"), 0u);
+  }
 }
 
 TEST(IncrementalTest, SweepMatchesFullPathIncludingEarlyAbort) {

@@ -536,6 +536,127 @@ TEST(TightDagWalkTest, PatchedRoutingDelaysMatchSortedReferenceBitForBit) {
   EXPECT_GT(stats.dests_resweep, 0u);
 }
 
+/// `got` against `want` bit for bit: labels, arc loads, stored DAGs,
+/// disconnected count and volume, and the DP over the DAGs in both modes.
+void expect_routings_bitwise_equal(const ClassRouting& got, const ClassRouting& want,
+                                   const Graph& g, std::span<const double> costs,
+                                   ArcAliveMask alive, const TrafficMatrix& tm,
+                                   std::span<const NodeId> skip, const std::string& what) {
+  const auto same = [](std::span<const double> a, std::span<const double> b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+  };
+  for (NodeId t = 0; t < g.num_nodes(); ++t) {
+    EXPECT_TRUE(same(got.distances()[t], want.distances()[t])) << what << " labels of " << t;
+    const std::span<const ArcId> a = got.tight_dag(t);
+    const std::span<const ArcId> b = want.tight_dag(t);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << what << " DAG of " << t;
+  }
+  EXPECT_TRUE(same(got.arc_loads(), want.arc_loads())) << what << " arc loads";
+  EXPECT_EQ(got.disconnected_demand_count(), want.disconnected_demand_count()) << what;
+  const double vg = got.disconnected_demand_volume();
+  const double vw = want.disconnected_demand_volume();
+  EXPECT_EQ(std::memcmp(&vg, &vw, sizeof(double)), 0) << what << " disconnected volume";
+  const std::vector<double> arc_delay = spread_delays(g);
+  for (const SlaDelayMode mode : {SlaDelayMode::kExpected, SlaDelayMode::kWorstPath}) {
+    std::vector<double> dg, dw;
+    got.end_to_end_delays(g, costs, alive, arc_delay, tm, mode, skip, dg);
+    want.end_to_end_delays(g, costs, alive, arc_delay, tm, mode, skip, dw);
+    EXPECT_TRUE(same(dg, dw)) << what << " delays, mode " << static_cast<int>(mode);
+  }
+}
+
+TEST(TightDagWalkTest, NodeSkipPatchMatchesComputeBitForBit) {
+  // compute_from_base with skipped nodes against compute() under the same
+  // mask and skip set: several failed nodes per case (the busiest transit
+  // node among them), each also a destination, plus node+links compounds.
+  // A failed node's own label changes toward every other destination, so
+  // all of them re-sweep.
+  for (const TieCase& c : tie_heavy_cases()) {
+    const Graph& g = c.graph;
+    const std::size_t n = g.num_nodes();
+    const TrafficMatrix tm = make_gravity_traffic(g, {1.0, 1.0, 17});
+    ClassRouting base;
+    RoutingBaseRecord record;
+    base.compute(g, c.costs, tm, {}, {}, &record);
+    NodeId busiest = 0;
+    double busiest_load = -1.0;
+    for (NodeId v = 0; v < n; ++v) {
+      double load = 0.0;
+      for (ArcId a : g.in_arcs(v)) load += base.arc_load(a);
+      if (load > busiest_load) {
+        busiest = v;
+        busiest_load = load;
+      }
+    }
+    const auto node = [n](std::size_t k) { return static_cast<NodeId>(k % n); };
+    const std::vector<FailureScenario> scenarios = {
+        FailureScenario::node(0),
+        FailureScenario::node(node(n / 3)),
+        FailureScenario::node(node(2 * n / 3)),
+        FailureScenario::node(node(n - 1)),
+        FailureScenario::node(busiest),
+        // One of the failed node's own links listed too: its arcs are removed twice.
+        FailureScenario::compound(
+            {g.arc(g.out_arcs(node(n / 2)).front()).link, static_cast<LinkId>(g.num_links() / 2)},
+            {node(n / 2)}),
+        FailureScenario::compound({static_cast<LinkId>(g.num_links() - 1)},
+                                  {busiest, node(n / 4)}),
+    };
+    FailureScratch scratch;
+    ClassRouting patched, want;
+    std::vector<std::uint8_t> alive;
+    for (const FailureScenario& sc : scenarios) {
+      build_alive_mask(g, sc, alive);
+      std::vector<ArcId> removed;
+      for_each_failed_arc(g, sc, [&](ArcId a) { removed.push_back(a); });
+      const std::span<const NodeId> skip = skipped_nodes(sc);
+      want.compute(g, c.costs, tm, alive, skip);
+      for (const double fraction : {0.25, 1.0}) {
+        scratch.reset_stats();
+        patched.compute_from_base(g, c.costs, tm, base, record, removed, alive, fraction,
+                                  scratch, skip);
+        const std::string what =
+            c.name + " " + to_string(sc) + " fraction " + std::to_string(fraction);
+        expect_routings_bitwise_equal(patched, want, g, c.costs, alive, tm, skip, what);
+        // A skipped destination is neither delta-patched nor swept.
+        const PatchStats& s = scratch.stats();
+        EXPECT_EQ(s.dests_resweep, n - skip.size()) << what;
+        EXPECT_EQ(s.dests_replayed, 0u) << what;
+        EXPECT_LE(s.dests_delta + s.dests_full_fallback, n - skip.size()) << what;
+        for (const NodeId v : skip) EXPECT_TRUE(patched.tight_dag(v).empty()) << what;
+      }
+    }
+  }
+}
+
+TEST(TightDagWalkTest, NodeSkipPatchDropsAnUnreachableSourcesDemand) {
+  // A failed node that could not reach anyone (no links) changes no label
+  // and removes no arc, yet its demand leaves every destination's
+  // disconnection subtotal: those destinations must re-sweep, not replay.
+  Graph g(4);
+  g.add_link(0, 1, 100.0, 1.0);
+  g.add_link(1, 2, 100.0, 1.0);
+  TrafficMatrix tm(4);
+  for (NodeId s = 0; s < 4; ++s)
+    for (NodeId t = 0; t < 4; ++t)
+      if (s != t) tm.set(s, t, 1.0 + s);
+  const std::vector<double> costs(g.num_arcs(), 1.0);
+  ClassRouting base;
+  RoutingBaseRecord record;
+  base.compute(g, costs, tm, {}, {}, &record);
+  ASSERT_EQ(base.disconnected_demand_count(), 6u);  // node 3's demands, both ways
+
+  const NodeId skip[] = {3};
+  ClassRouting want, patched;
+  want.compute(g, costs, tm, {}, skip);
+  FailureScratch scratch;
+  patched.compute_from_base(g, costs, tm, base, record, {}, {}, 1.0, scratch, skip);
+  expect_routings_bitwise_equal(patched, want, g, costs, {}, tm, skip, "isolated node 3");
+  EXPECT_EQ(patched.disconnected_demand_count(), 0u);
+  EXPECT_EQ(scratch.stats().dests_resweep, 3u);
+}
+
 TEST(TightDagWalkTest, LoadsMatchSortedReferenceSweep) {
   for (const TieCase& c : tie_heavy_cases()) {
     const Graph& g = c.graph;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -359,7 +360,7 @@ TEST(ScenarioTest, IncrementalMatchesFullOnCompoundCatalogs) {
     const Evaluator full(inst.graph, inst.traffic, inst.params, {.incremental = false});
 
     // Mixed catalog: sampled 2- and 3-link compounds, geographic SRLGs,
-    // node-failing compounds (full-path fallback), and the legacy kinds.
+    // node-failing compounds, and the legacy kinds.
     std::vector<FailureScenario> scenarios;
     Rng rng(c.seed + 7);
     for (auto& s : sample_k_link_failures(inst.graph, 2, 10, rng))
@@ -387,6 +388,38 @@ TEST(ScenarioTest, IncrementalMatchesFullOnCompoundCatalogs) {
       expect_profile_bytes_identical(reference,
                                      profile_failures(full, w, scenarios, &eight));
     }
+  }
+}
+
+TEST(ScenarioTest, NodeBearingCatalogsPatchFromTheAnchor) {
+  // SRLGs and compounds that fail nodes, with or without links, ride the
+  // same patch path as links-only ones: every batch entry point matches the
+  // full recompute at 1 and 8 threads.
+  for (const auto& [nodes, degree, seed] : {std::tuple{10, 4.0, 51}, std::tuple{16, 4.0, 77}}) {
+    const TestInstance inst = make_test_instance(nodes, degree, seed);
+    const Graph& g = inst.graph;
+    // Geographic conduits, each also taking down the router at one end of
+    // its first link, plus a two-router site with no links.
+    std::vector<SrlgGroup> groups = synthesize_geo_srlgs(g, {3});
+    ASSERT_FALSE(groups.empty());
+    for (SrlgGroup& group : groups)
+      group.nodes.push_back(g.arc(g.link_arcs(group.links.front()).front()).src);
+    groups.push_back({"site", {}, {1, 2}});
+    const ScenarioSet srlgs = srlg_scenario_set(g, groups);
+    std::vector<FailureScenario> scenarios(srlgs.scenarios().begin(), srlgs.scenarios().end());
+    // Compounds of 1-2 nodes and 0-2 links.
+    Rng rng(seed + 3);
+    for (int i = 0; i < 10; ++i) {
+      std::vector<NodeId> failed_nodes(1 + i % 2);
+      for (NodeId& v : failed_nodes) v = static_cast<NodeId>(rng.uniform_index(g.num_nodes()));
+      std::vector<LinkId> failed_links(i % 3);
+      for (LinkId& l : failed_links) l = static_cast<LinkId>(rng.uniform_index(g.num_links()));
+      scenarios.push_back(FailureScenario::compound(failed_links, failed_nodes));
+    }
+    const WeightSetting w = random_weights(g, 30, seed + 1);
+    const Evaluator anchored(g, inst.traffic, inst.params, {});
+    const Evaluator full(g, inst.traffic, inst.params, {.incremental = false});
+    test::expect_catalog_matches_full_path(anchored, full, w, scenarios);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "traffic/scaling.h"
 #include "traffic/traffic_matrix.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dtr::test {
 
@@ -157,6 +159,49 @@ inline void expect_results_identical(const EvalResult& a, const EvalResult& b) {
   EXPECT_EQ(a.arc_utilization, b.arc_utilization);
   EXPECT_EQ(a.sd_delay_ms, b.sd_delay_ms);
   EXPECT_EQ(a.carries_delay_traffic, b.carries_delay_traffic);
+}
+
+/// Runs `scenarios` under `w` through every batch entry point of `anchored`
+/// — evaluate_failures at kFull, sweep in full and aborted halfway, and
+/// evaluate_costs with jobs naming a probe — at 1 and 8 threads, each bit for
+/// bit against the full-recompute evaluator `full`.
+inline void expect_catalog_matches_full_path(const Evaluator& anchored, const Evaluator& full,
+                                             const WeightSetting& w,
+                                             std::span<const FailureScenario> scenarios) {
+  const auto same = [](double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; };
+  const auto expect_same_sweep = [&](const SweepResult& got, const SweepResult& want) {
+    EXPECT_TRUE(same(got.lambda, want.lambda));
+    EXPECT_TRUE(same(got.phi, want.phi));
+    EXPECT_TRUE(same(got.violations, want.violations));
+    EXPECT_EQ(got.aborted, want.aborted);
+    EXPECT_EQ(got.scenarios_evaluated, want.scenarios_evaluated);
+  };
+  const std::vector<EvalResult> ref =
+      full.evaluate_failures(w, scenarios, nullptr, EvalDetail::kFull);
+  const SweepResult ref_sum = full.sweep(w, scenarios);
+  const CostPair bound{ref_sum.lambda / 2.0, ref_sum.phi / 2.0};
+  const SweepResult ref_aborted = full.sweep(w, scenarios, {.abort_bound = &bound});
+  EXPECT_TRUE(ref_aborted.aborted);
+  ThreadPool one(1);
+  ThreadPool eight(8);
+  for (ThreadPool* pool : {&one, &eight}) {
+    const std::vector<EvalResult> got =
+        anchored.evaluate_failures(w, scenarios, pool, EvalDetail::kFull);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) expect_results_identical(got[i], ref[i]);
+    expect_same_sweep(anchored.sweep(w, scenarios, {.pool = pool}), ref_sum);
+    expect_same_sweep(anchored.sweep(w, scenarios, {.abort_bound = &bound, .pool = pool}),
+                      ref_aborted);
+    const EvalProbe probe = anchored.probe(w);
+    std::vector<EvalJob> jobs;
+    for (const FailureScenario& s : scenarios) jobs.push_back({nullptr, s, &probe});
+    const std::vector<CostPair> costs = anchored.evaluate_costs(jobs, pool);
+    ASSERT_EQ(costs.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_TRUE(same(costs[i].lambda, ref[i].lambda) && same(costs[i].phi, ref[i].phi))
+          << "evaluate_costs job " << i;
+    }
+  }
 }
 
 }  // namespace dtr::test
